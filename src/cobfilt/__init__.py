@@ -1,7 +1,7 @@
 """Exact graded dimension counts for a stagewise filtration of the
-unoriented cobordism ring: the degree/stage bijection, loop-space
-homology models, Thom-complex series, and cup-construction recipes for
-every polynomial generator, with brute-force verification oracles.
+unoriented cobordism ring: the degree/stage bijection, Thom-complex
+series, and cup-construction recipes for every polynomial generator,
+with brute-force verification oracles.
 """
 
 from .checks import (
@@ -21,7 +21,6 @@ from .degrees import (
     GeneratorTable,
     StageTriple,
     TableEntry,
-    cmp_triples,
     compose,
     decompose,
     is_excluded,
@@ -40,8 +39,6 @@ from .manifolds import (
 from .series import (
     U64_MAX,
     AlgebraSpec,
-    Generator,
-    GeneratorKind,
     NotDivisibleError,
     TruncatedSeries,
     exact_div,
@@ -50,19 +47,9 @@ from .series import (
     simple_system_series,
 )
 from .spaces import (
-    DegreeOneGeneratorError,
-    EvenSphereDimensionError,
-    LoopRuleError,
     MilnorMonomial,
-    NonExteriorInputError,
-    NonPolynomialInputError,
     adams_homotopy_series,
-    double_loop_algebra,
-    dual_steenrod_spec,
-    james_loop_homology,
-    loop_algebra,
     milnor_monomials,
-    sp_homology,
     stage_generator_degrees,
     steenrod_series,
     thom_homology_series,

@@ -41,6 +41,8 @@ class CheckReport:
     bound: int
     passed: bool
     first_discrepancy: Discrepancy | None = None
+    # The product check's generator-algebra series, reported by the CLI.
+    series: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.passed and self.first_discrepancy is None:
@@ -164,8 +166,9 @@ def verify_main_theorem(cap: int) -> CheckReport:
             return CheckReport(
                 "product", cap, False,
                 Discrepancy(t, via_dp.coeffs[t], {name: candidate.coeffs[t]}),
+                series=via_product.coeffs,
             )
-    return CheckReport("product", cap, True)
+    return CheckReport("product", cap, True, series=via_product.coeffs)
 
 
 def verify_quotient_steps(cap: int) -> CheckReport:

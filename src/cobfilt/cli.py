@@ -19,9 +19,8 @@ from .checks import (
     verify_quotient_steps,
     verify_simple_systems,
 )
-from .degrees import ExcludedDegreeError, StageTriple, compose, decompose, is_excluded, stages_up_to_degree
+from .degrees import ExcludedDegreeError, StageTriple, compose, decompose, stages_up_to_degree
 from .manifolds import expand, indecomposable, plan
-from .series import AlgebraSpec, series_of
 from .spaces import adams_homotopy_series, steenrod_series, thom_homology_series
 
 EXIT_OK = 0
@@ -173,9 +172,8 @@ def _cmd_table(ns: argparse.Namespace) -> int:
         for entry in table.entries
     ]
     lines = [f"{'degree':<8}{'stage':<12}recipe"]
-    for entry in table.entries:
-        term = expand(plan(entry.degree))
-        lines.append(f"{entry.degree:<8}{_stage_text(entry.triple):<12}{term}")
+    for entry, row in zip(table.entries, rows):
+        lines.append(f"{entry.degree:<8}{_stage_text(entry.triple):<12}{row['term']}")
     lines.append(f"{len(rows)} generator(s) up to degree {ns.max_degree}")
     _emit(
         "table", params, ns.json,
@@ -197,7 +195,15 @@ def _cmd_series(ns: argparse.Namespace) -> int:
         label = f"steenrod cap {ns.cap}"
     else:
         if ns.stage is None:
-            print(f"cobfilt series: error: --stage is required for {ns.what}", file=sys.stderr)
+            message = f"--stage is required for {ns.what}"
+            if ns.json:
+                _emit(
+                    "series", params, True,
+                    error={"code": "MISSING_STAGE", "message": message},
+                    text_lines=[],
+                )
+            else:
+                print(f"cobfilt series: error: {message}", file=sys.stderr)
             return EXIT_USAGE
         fn = adams_homotopy_series if ns.what == "homotopy" else thom_homology_series
         series = fn(ns.stage, ns.cap)
@@ -230,11 +236,9 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         entry = report.to_json()
         status = "pass" if report.passed else "fail"
         lines.append(f"{name}: {status} (cap {ns.cap})")
-        if name == "product":
-            gens = [d for d in range(2, ns.cap + 1) if not is_excluded(d)]
-            coeffs = list(series_of(AlgebraSpec.polynomial(*gens), ns.cap).coeffs)
-            entry["series"] = coeffs
-            lines.append(f"product series: {coeffs}")
+        if report.series is not None:
+            entry["series"] = list(report.series)
+            lines.append(f"{name} series: {entry['series']}")
         if not report.passed:
             failures += 1
             lines.append(f"  first discrepancy: {report.first_discrepancy.to_json()}")

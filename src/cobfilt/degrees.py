@@ -97,11 +97,6 @@ def decompose(d: int) -> StageTriple:
     return StageTriple(n, j, i)
 
 
-def cmp_triples(a: StageTriple, b: StageTriple) -> int:
-    """-1, 0, or 1 as a precedes, equals, or follows b in stage order."""
-    return (a > b) - (a < b)
-
-
 class TableEntry(NamedTuple):
     degree: int
     triple: StageTriple

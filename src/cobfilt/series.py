@@ -2,16 +2,9 @@
 
 Dimension counts of graded vector spaces over the field with two
 elements are tracked as exact integer sequences up to a degree cap.
-A graded algebra is described symbolically by its generators, each
-polynomial, exterior, or truncated at a height h, and is converted to
-its Poincare series by multiplying one factor per generator:
-
-    polynomial of degree d     ->  1 / (1 - t^d)
-    exterior of degree d       ->  1 + t^d
-    truncated, height h        ->  1 + t^d + ... + t^(h d)
-
-An exterior generator is the same thing as a truncated generator of
-height 1 and is normalized to it before conversion.
+Every algebra the filtration needs is polynomial, so an algebra is
+described by its generator degrees alone and converted to its Poincare
+series by multiplying one factor 1 / (1 - t^d) per generator of degree d.
 
 Coefficients are plain Python integers validated against the unsigned
 64-bit bound at construction, so a count that outgrows the fixed-width
@@ -21,15 +14,11 @@ precision.
 
 >>> series_of(AlgebraSpec.polynomial(2), cap=6).coeffs
 (1, 0, 1, 0, 1, 0, 1)
->>> series_of(AlgebraSpec.exterior(3, 7), cap=10).coeffs
-(1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1)
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 U64_MAX = 2**64 - 1
 
@@ -38,73 +27,25 @@ class NotDivisibleError(ArithmeticError):
     """A series quotient would need a negative coefficient."""
 
 
-class GeneratorKind(enum.Enum):
-    POLYNOMIAL = "polynomial"
-    EXTERIOR = "exterior"
-    TRUNCATED = "truncated"
-
-
-@dataclass(frozen=True)
-class Generator:
-    """One graded algebra generator; height is meaningful only when truncated."""
-
-    degree: int
-    kind: GeneratorKind
-    height: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError(f"generator degree must be >= 1, got {self.degree}")
-        if self.kind is GeneratorKind.TRUNCATED:
-            if self.height is None or self.height < 1:
-                raise ValueError("truncated generator needs a height >= 1")
-        elif self.height is not None:
-            raise ValueError(f"{self.kind.value} generator takes no height")
-
-    def normalized(self) -> Generator:
-        """Rewrite an exterior generator as a truncated generator of height 1."""
-        if self.kind is GeneratorKind.EXTERIOR:
-            return Generator(self.degree, GeneratorKind.TRUNCATED, 1)
-        return self
-
-
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Symbolic graded algebra: explicit generators plus an optional rule.
+    """Polynomial algebra over Z/2 on one generator in each listed degree."""
 
-    The rule covers infinite families.  Called with a degree bound it
-    must return every rule generator of degree <= bound; local
-    finiteness of the algebra is the rule's responsibility.
-    """
-
-    generators: tuple[Generator, ...] = ()
-    rule: Callable[[int], Iterable[Generator]] | None = None
+    degrees: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
+        for d in self.degrees:
+            if d < 1:
+                raise ValueError(f"generator degree must be >= 1, got {d}")
 
     @classmethod
     def polynomial(cls, *degrees: int) -> AlgebraSpec:
-        return cls(tuple(Generator(d, GeneratorKind.POLYNOMIAL) for d in degrees))
+        return cls(degrees)
 
-    @classmethod
-    def exterior(cls, *degrees: int) -> AlgebraSpec:
-        return cls(tuple(Generator(d, GeneratorKind.EXTERIOR) for d in degrees))
-
-    @classmethod
-    def truncated(cls, *pairs: tuple[int, int]) -> AlgebraSpec:
-        return cls(tuple(Generator(d, GeneratorKind.TRUNCATED, h) for d, h in pairs))
-
-    @classmethod
-    def from_rule(cls, rule: Callable[[int], Iterable[Generator]]) -> AlgebraSpec:
-        return cls((), rule)
-
-    def generators_below(self, bound: int) -> tuple[Generator, ...]:
-        """All generators of degree <= bound, explicit ones first."""
-        gens = [g for g in self.generators if g.degree <= bound]
-        if self.rule is not None:
-            gens.extend(g for g in self.rule(bound) if g.degree <= bound)
-        return tuple(gens)
+    def generators_below(self, bound: int) -> tuple[int, ...]:
+        """The degrees of all generators of degree <= bound."""
+        return tuple(d for d in self.degrees if d <= bound)
 
 
 @dataclass(frozen=True)
@@ -124,7 +65,7 @@ class TruncatedSeries:
                 f"cap {self.cap} needs {self.cap + 1} coefficients, got {len(coeffs)}"
             )
         for t, c in enumerate(coeffs):
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise ValueError(f"coefficient in degree {t} is not an integer: {c!r}")
             if c < 0:
                 raise ValueError(f"negative coefficient {c} in degree {t}")
@@ -185,13 +126,13 @@ def exact_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
-    """Poincare series of a graded algebra, truncated at cap.
+    """Poincare series of a polynomial algebra, truncated at cap.
 
     Generators above the cap contribute the factor 1 and are skipped.
     """
     out = TruncatedSeries.unit(cap)
-    for gen in spec.generators_below(cap):
-        out = mul(out, _factor_series(gen, cap))
+    for d in spec.generators_below(cap):
+        out = mul(out, _stride_series(d, cap, cap))
     return out
 
 
@@ -207,19 +148,14 @@ def simple_system_series(d: int, cap: int) -> TruncatedSeries:
     out = TruncatedSeries.unit(cap)
     e = d
     while e <= cap:
-        out = mul(out, _factor_series(Generator(e, GeneratorKind.EXTERIOR), cap))
+        out = mul(out, _stride_series(e, e, cap))
         e *= 2
     return out
 
 
-def _factor_series(gen: Generator, cap: int) -> TruncatedSeries:
-    gen = gen.normalized()
-    d = gen.degree
+def _stride_series(d: int, top: int, cap: int) -> TruncatedSeries:
+    # 1 + t^d + t^2d + ... through degree min(top, cap)
     coeffs = [0] * (cap + 1)
-    if gen.kind is GeneratorKind.POLYNOMIAL:
-        top = cap
-    else:
-        top = min(gen.height * d, cap)  # type: ignore[operator]
-    for t in range(0, top + 1, d):
+    for t in range(0, min(top, cap) + 1, d):
         coeffs[t] = 1
     return TruncatedSeries(cap, tuple(coeffs))

@@ -1,27 +1,10 @@
-"""Graded homology models for symplectic groups, their loop spaces, and
-Thom complexes, at the level of exact dimension counts.
+"""Graded homology models for the dual Steenrod algebra and the Thom
+complexes of the filtration stages, at the level of exact dimension
+counts.
 
-The homology of Sp(n) is an exterior algebra on generators in degrees
-4i - 1 for i = 1..n.  Looping rewrites an algebra description by the
-simple-system rule: exterior generators of degree d suspend to
-polynomial generators of degree d - 1, so H_*(loops on Sp(n)) is
-polynomial on degrees 4i - 2.  Looping again replaces each polynomial
-generator of degree e by its simple system e, 2e, 4e, ... and suspends,
-giving polynomial generators in degrees e 2^a - 1.  The homology
-suspension enters these rules only as the degree shift; no chain-level
-structure is modelled.
-
-Two families anchor everything:
-
-  * the doubly looped 3-sphere, whose homology is the dual Steenrod
-    algebra, polynomial on classes xi_k in degrees 2^k - 1 (an
-    independent count of the same dimensions enumerates Milnor basis
-    monomials directly);
-
-  * looped truncated James products on odd spheres, here modelled as
-    Z/2[x in degrees m 2^a - 1, a <= i] for the piece with 2^i cells,
-    which is the unique rule matching the computed low cases and the
-    degree bookkeeping of the stage filtration.
+The dual Steenrod algebra A_* is polynomial on classes xi_k in degrees
+2^k - 1; an independent count of the same dimensions enumerates Milnor
+basis monomials directly.
 
 A filtration stage (n, j, i) contributes the Thom-complex homology
 A_* (x) Z/2[one generator per stage up to this one], and since the
@@ -36,35 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .degrees import StageTriple, stages_up_to_degree
-from .series import (
-    AlgebraSpec,
-    Generator,
-    GeneratorKind,
-    TruncatedSeries,
-    exact_div,
-    mul,
-    series_of,
-)
-
-
-class LoopRuleError(ValueError):
-    """An algebra description does not match the looping rule applied to it."""
-
-
-class NonExteriorInputError(LoopRuleError):
-    pass
-
-
-class NonPolynomialInputError(LoopRuleError):
-    pass
-
-
-class DegreeOneGeneratorError(LoopRuleError):
-    """Suspending a degree-1 generator would land in degree 0."""
-
-
-class EvenSphereDimensionError(LoopRuleError):
-    """James piece models are defined here for odd spheres only."""
+from .series import AlgebraSpec, TruncatedSeries, exact_div, mul, series_of
 
 
 @dataclass(frozen=True)
@@ -84,93 +39,12 @@ class MilnorMonomial:
         return sum(e * ((1 << k) - 1) for k, e in enumerate(self.exponents, start=1))
 
 
-def sp_homology(n: int) -> AlgebraSpec:
-    """Exterior algebra on one generator in each degree 4i - 1, i <= n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return AlgebraSpec.exterior(*(4 * i - 1 for i in range(1, n + 1)))
-
-
-def loop_algebra(spec: AlgebraSpec) -> AlgebraSpec:
-    """Simple-system rewrite for one loop: exterior d becomes polynomial d - 1."""
-    if spec.rule is not None:
-        raise NonExteriorInputError("loop rule needs an explicit generator list")
-    degrees = []
-    for gen in spec.generators:
-        norm = gen.normalized()
-        if norm.kind is not GeneratorKind.TRUNCATED or norm.height != 1:
-            raise NonExteriorInputError(
-                f"loop rule needs exterior generators, got {gen.kind.value} "
-                f"in degree {gen.degree}"
-            )
-        if gen.degree < 2:
-            raise DegreeOneGeneratorError(
-                "a degree-1 exterior generator would suspend to degree 0"
-            )
-        degrees.append(gen.degree - 1)
-    return AlgebraSpec.polynomial(*degrees)
-
-
-def double_loop_algebra(spec: AlgebraSpec, cap: int) -> AlgebraSpec:
-    """Two loops at once on a polynomial algebra.
-
-    Each polynomial generator of degree e is traded for its simple
-    system e 2^a and suspended, yielding polynomial generators in the
-    degrees e 2^a - 1 that fit below the cap.
-    """
-    if spec.rule is not None:
-        raise NonPolynomialInputError("double loop rule needs an explicit generator list")
-    degrees = []
-    for gen in spec.generators:
-        if gen.kind is not GeneratorKind.POLYNOMIAL:
-            raise NonPolynomialInputError(
-                f"double loop rule needs polynomial generators, got {gen.kind.value} "
-                f"in degree {gen.degree}"
-            )
-        if gen.degree < 2:
-            raise DegreeOneGeneratorError(
-                "a degree-1 polynomial generator would suspend to degree 0"
-            )
-        e = gen.degree
-        while e - 1 <= cap:
-            degrees.append(e - 1)
-            e *= 2
-    return AlgebraSpec.polynomial(*sorted(degrees))
-
-
-def james_loop_homology(m: int, i: int) -> AlgebraSpec:
-    """Homology of the looped James piece with 2^i cells on an odd m-sphere.
-
-    Polynomial on generators in degrees m 2^a - 1 for 0 <= a <= i; the
-    i = 0 piece is the loop space of the sphere itself.
-    """
-    if m % 2 == 0:
-        raise EvenSphereDimensionError(f"sphere dimension must be odd, got {m}")
-    if m < 3:
-        raise ValueError(f"sphere dimension must be >= 3, got {m}")
-    if i < 0:
-        raise ValueError(f"piece index must be >= 0, got {i}")
-    return AlgebraSpec.polynomial(*(m * (1 << a) - 1 for a in range(i + 1)))
-
-
-def _dual_steenrod_generators(bound: int) -> tuple[Generator, ...]:
-    gens = []
-    k = 1
-    while (1 << k) - 1 <= bound:
-        gens.append(Generator((1 << k) - 1, GeneratorKind.POLYNOMIAL))
-        k += 1
-    return tuple(gens)
-
-
-def dual_steenrod_spec() -> AlgebraSpec:
-    """Polynomial on xi_k in degree 2^k - 1 for every k >= 1, as a lazy rule."""
-    return AlgebraSpec.from_rule(_dual_steenrod_generators)
-
-
 @lru_cache(maxsize=None)
 def steenrod_series(cap: int) -> TruncatedSeries:
-    """Dimension series of the dual Steenrod algebra up to cap."""
-    return series_of(dual_steenrod_spec(), cap)
+    """Dimension series of the dual Steenrod algebra up to cap: polynomial
+    on xi_k in degree 2^k - 1 for every k with 2^k - 1 <= cap."""
+    xi_degrees = ((1 << k) - 1 for k in range(1, (cap + 1).bit_length()))
+    return series_of(AlgebraSpec.polynomial(*xi_degrees), cap)
 
 
 def milnor_monomials(t: int) -> list[MilnorMonomial]:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cobfilt.checks as checks
+import cobfilt.spaces as spaces
 from cobfilt.checks import (
     CheckReport,
     Discrepancy,
@@ -136,6 +137,34 @@ def test_simple_systems_detects_a_mutated_factor(monkeypatch):
     report = verify_simple_systems(8)
     assert not report.passed
     assert report.first_discrepancy is not None
+
+
+def test_main_theorem_detects_a_wrong_product_coefficient(monkeypatch):
+    def mutated(spec, cap):
+        series = series_of(spec, cap)
+        if len(spec.degrees) < 2:  # the stagewise route's single-generator factors
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[5] += 1
+        return TruncatedSeries(cap, tuple(coeffs))
+
+    monkeypatch.setattr(checks, "series_of", mutated)
+    report = verify_main_theorem(8)
+    assert not report.passed
+    assert report.first_discrepancy == Discrepancy(5, 1, {"product": 2})
+
+
+def test_quotient_steps_detect_a_dropped_stage_generator(monkeypatch):
+    original = spaces.stage_generator_degrees
+
+    def dropped(t, bound):
+        return [d for d in original(t, bound) if d != 6]
+
+    monkeypatch.setattr(spaces, "stage_generator_degrees", dropped)
+    report = verify_quotient_steps(16)
+    assert not report.passed
+    # the stage of degree 6 adds nothing, so its quotient is 1, not 1/(1 - t^6)
+    assert report.first_discrepancy == Discrepancy(6, 1, 0)
 
 
 # ---------------------------------------------------------------------------

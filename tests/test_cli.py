@@ -150,8 +150,20 @@ def test_series_invalid_stage_is_usage_error(run_cli):
 
 
 def test_series_missing_stage_is_usage_error(run_cli):
-    code, _, err = run_cli("series", "homotopy", "--cap", "4")
+    code, out, err = run_cli("series", "homotopy", "--cap", "4")
     assert code == 64
+    assert out == ""
+    assert err == "cobfilt series: error: --stage is required for homotopy\n"
+
+
+@pytest.mark.parametrize("what", ["homotopy", "homology"])
+def test_series_missing_stage_json_envelope(run_cli, envelope_validator, what):
+    code, out, _ = run_cli("series", what, "--cap", "4", "--json")
+    assert code == 64
+    envelope = json.loads(out)
+    envelope_validator.validate(envelope)
+    assert envelope["status"] == "error"
+    assert envelope["error"]["code"] == "MISSING_STAGE"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from cobfilt.degrees import (
     GeneratorTable,
     StageTriple,
     TableEntry,
-    cmp_triples,
     compose,
     decompose,
     is_excluded,
@@ -126,15 +125,16 @@ def test_compose_injective_up_to_ten_thousand():
 
 def test_order_compares_j_before_i():
     # degree order would say the opposite: compose((1,1,2)) = 11 > 6
-    assert cmp_triples(StageTriple(1, 1, 2), StageTriple(1, 2, 0)) == -1
+    assert StageTriple(1, 1, 2) < StageTriple(1, 2, 0)
 
 
 def test_order_compares_n_first():
-    assert cmp_triples(StageTriple(2, 0, 0), StageTriple(1, 9, 9)) == 1
+    assert StageTriple(2, 0, 0) > StageTriple(1, 9, 9)
 
 
 def test_order_equal():
-    assert cmp_triples(StageTriple(1, 1, 1), StageTriple(1, 1, 1)) == 0
+    assert StageTriple(1, 1, 1) == StageTriple(1, 1, 1)
+    assert not StageTriple(1, 1, 1) < StageTriple(1, 1, 1)
 
 
 def test_base_precedes_everything():
@@ -144,11 +144,8 @@ def test_base_precedes_everything():
 
 @given(stage_triples(), stage_triples())
 def test_order_is_total_and_consistent(a, b):
-    assert (cmp_triples(a, b) == 0) == (a == b)
-    assert cmp_triples(a, b) == -cmp_triples(b, a)
-    assert cmp_triples(a, b) == ((a.n, a.j, a.i) > (b.n, b.j, b.i)) - (
-        (a.n, a.j, a.i) < (b.n, b.j, b.i)
-    )
+    assert (a < b) + (a == b) + (a > b) == 1
+    assert (a < b) == ((a.n, a.j, a.i) < (b.n, b.j, b.i))
 
 
 @given(stage_triples(), stage_triples(), stage_triples())

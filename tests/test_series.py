@@ -4,8 +4,6 @@ from hypothesis import given, strategies as st
 from cobfilt.series import (
     U64_MAX,
     AlgebraSpec,
-    Generator,
-    GeneratorKind,
     NotDivisibleError,
     TruncatedSeries,
     exact_div,
@@ -43,16 +41,8 @@ def series_triples(draw, max_cap=12, max_coeff=12):
 
 
 @st.composite
-def generators(draw, max_degree=10):
-    kind = draw(st.sampled_from(list(GeneratorKind)))
-    degree = draw(st.integers(1, max_degree))
-    height = draw(st.integers(1, 3)) if kind is GeneratorKind.TRUNCATED else None
-    return Generator(degree, kind, height)
-
-
-@st.composite
-def algebra_specs(draw, max_gens=6):
-    return AlgebraSpec(tuple(draw(st.lists(generators(), max_size=max_gens))))
+def algebra_specs(draw, max_gens=6, max_degree=10):
+    return AlgebraSpec(tuple(draw(st.lists(st.integers(1, max_degree), max_size=max_gens))))
 
 
 # ---------------------------------------------------------------------------
@@ -72,26 +62,9 @@ def test_polynomial_two_generators():
     assert series_of(AlgebraSpec.polynomial(2, 5), 7).coeffs == (1, 0, 1, 0, 1, 1, 1, 1)
 
 
-def test_exterior_two_generators():
-    # basis: 1, a3, a7, a3 a7
-    assert series_of(AlgebraSpec.exterior(3, 7), 10).coeffs == (1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1)
-
-
-def test_truncated_height_two():
-    # 1, x, x^2 in degrees 0, 3, 6
-    assert series_of(AlgebraSpec.truncated((3, 2)), 7).coeffs == (1, 0, 0, 1, 0, 0, 1, 0)
-
-
-def test_exterior_normalizes_to_truncated_height_one():
-    ext = Generator(5, GeneratorKind.EXTERIOR)
-    assert ext.normalized() == Generator(5, GeneratorKind.TRUNCATED, 1)
-    assert series_of(AlgebraSpec.exterior(5), 12).coeffs == series_of(
-        AlgebraSpec.truncated((5, 1)), 12
-    ).coeffs
-
-
 def test_generator_above_cap_contributes_nothing():
     assert series_of(AlgebraSpec.polynomial(9), 5).coeffs == (1, 0, 0, 0, 0, 0)
+    assert AlgebraSpec.polynomial(2, 9, 5).generators_below(5) == (2, 5)
 
 
 @given(algebra_specs(), st.integers(0, 24))
@@ -101,9 +74,9 @@ def test_series_of_starts_at_one(spec, cap):
 
 @given(algebra_specs(), st.integers(0, 20), st.data())
 def test_tensor_factorization_over_generator_split(spec, cap, data):
-    k = data.draw(st.integers(0, len(spec.generators)))
-    left = AlgebraSpec(spec.generators[:k])
-    right = AlgebraSpec(spec.generators[k:])
+    k = data.draw(st.integers(0, len(spec.degrees)))
+    left = AlgebraSpec(spec.degrees[:k])
+    right = AlgebraSpec(spec.degrees[k:])
     combined = series_of(spec, cap)
     split = mul(series_of(left, cap), series_of(right, cap))
     assert combined.coeffs == split.coeffs
@@ -234,26 +207,13 @@ def test_mul_overflow_is_detected_not_wrapped():
         mul(a, b)
 
 
+def test_non_integer_coefficient_rejected():
+    with pytest.raises(ValueError, match="not an integer"):
+        TruncatedSeries(1, (True, False))
+    with pytest.raises(ValueError, match="not an integer"):
+        TruncatedSeries(1, (1, 1.0))
+
+
 def test_generator_degree_must_be_positive():
     with pytest.raises(ValueError, match="degree"):
-        Generator(0, GeneratorKind.POLYNOMIAL)
-
-
-def test_truncated_generator_needs_height():
-    with pytest.raises(ValueError, match="height"):
-        Generator(3, GeneratorKind.TRUNCATED)
-
-
-def test_polynomial_generator_takes_no_height():
-    with pytest.raises(ValueError, match="height"):
-        Generator(3, GeneratorKind.POLYNOMIAL, 2)
-
-
-def test_rule_generators_feed_series():
-    spec = AlgebraSpec.from_rule(
-        lambda bound: tuple(
-            Generator(d, GeneratorKind.POLYNOMIAL) for d in (2, 6) if d <= bound
-        )
-    )
-    assert [g.degree for g in spec.generators_below(4)] == [2]
-    assert series_of(spec, 6).coeffs == series_of(AlgebraSpec.polynomial(2, 6), 6).coeffs
+        AlgebraSpec.polynomial(2, 0)

@@ -3,120 +3,15 @@ from hypothesis import given, strategies as st
 
 from cobfilt.checks import partition_dp
 from cobfilt.degrees import BASE, StageTriple, stages_up_to_degree
-from cobfilt.series import AlgebraSpec, GeneratorKind, mul, series_of
+from cobfilt.series import AlgebraSpec, mul, series_of
 from cobfilt.spaces import (
-    DegreeOneGeneratorError,
-    EvenSphereDimensionError,
     MilnorMonomial,
-    NonExteriorInputError,
-    NonPolynomialInputError,
     adams_homotopy_series,
-    double_loop_algebra,
-    dual_steenrod_spec,
-    james_loop_homology,
-    loop_algebra,
     milnor_monomials,
-    sp_homology,
     stage_generator_degrees,
     steenrod_series,
     thom_homology_series,
 )
-
-
-def degrees_of(spec):
-    return [g.degree for g in spec.generators]
-
-
-# ---------------------------------------------------------------------------
-# symplectic groups and loop rules
-
-
-def test_sp_homology_generators():
-    assert degrees_of(sp_homology(1)) == [3]
-    assert degrees_of(sp_homology(2)) == [3, 7]
-    assert degrees_of(sp_homology(3)) == [3, 7, 11]
-    assert all(g.kind is GeneratorKind.EXTERIOR for g in sp_homology(3).generators)
-
-
-def test_sp_homology_needs_positive_rank():
-    with pytest.raises(ValueError):
-        sp_homology(0)
-
-
-def test_loop_algebra_suspends_down_one():
-    assert degrees_of(loop_algebra(sp_homology(2))) == [2, 6]
-    assert degrees_of(loop_algebra(sp_homology(1))) == [2]
-    assert loop_algebra(AlgebraSpec()).generators == ()
-
-
-def test_loop_algebra_rejects_polynomial_input():
-    with pytest.raises(NonExteriorInputError):
-        loop_algebra(AlgebraSpec.polynomial(2))
-
-
-def test_loop_algebra_rejects_degree_one():
-    with pytest.raises(DegreeOneGeneratorError):
-        loop_algebra(AlgebraSpec.exterior(1, 3))
-
-
-@given(st.integers(1, 8), st.integers(0, 64))
-def test_looped_sp_series_counts_partitions_into_4i_minus_2(n, cap):
-    # independent count: restricted partitions with parts 2, 6, ..., 4n-2
-    looped = loop_algebra(sp_homology(n))
-    parts = [4 * i - 2 for i in range(1, n + 1)]
-    assert series_of(looped, cap).coeffs == partition_dp(parts, cap).coeffs
-
-
-def test_double_loop_produces_suspended_simple_systems():
-    assert degrees_of(double_loop_algebra(AlgebraSpec.polynomial(2), 15)) == [1, 3, 7, 15]
-    assert degrees_of(double_loop_algebra(AlgebraSpec.polynomial(6), 23)) == [5, 11, 23]
-    assert double_loop_algebra(AlgebraSpec(), 10).generators == ()
-
-
-def test_double_loop_rejects_exterior_input():
-    with pytest.raises(NonPolynomialInputError):
-        double_loop_algebra(AlgebraSpec.exterior(3), 10)
-
-
-def test_double_loop_rejects_degree_one():
-    with pytest.raises(DegreeOneGeneratorError):
-        double_loop_algebra(AlgebraSpec.polynomial(1), 10)
-
-
-@pytest.mark.parametrize("cap", [1, 2, 15, 100, 512])
-def test_double_looped_sphere_is_dual_steenrod(cap):
-    via_rule = double_loop_algebra(AlgebraSpec.polynomial(2), cap)
-    direct = dual_steenrod_spec().generators_below(cap)
-    assert sorted(degrees_of(via_rule)) == sorted(g.degree for g in direct)
-
-
-# ---------------------------------------------------------------------------
-# James pieces
-
-
-def test_james_piece_zero_is_the_looped_sphere():
-    assert degrees_of(james_loop_homology(3, 0)) == [2]
-
-
-def test_james_piece_one_adds_one_generator():
-    assert degrees_of(james_loop_homology(3, 1)) == [2, 5]
-    assert degrees_of(james_loop_homology(7, 1)) == [6, 13]
-
-
-def test_james_piece_counts_and_top_degree():
-    spec = james_loop_homology(5, 3)
-    assert len(spec.generators) == 4
-    assert max(degrees_of(spec)) == 5 * 2**3 - 1
-
-
-def test_james_rejects_even_sphere():
-    with pytest.raises(EvenSphereDimensionError):
-        james_loop_homology(4, 1)
-
-
-def test_james_rejects_tiny_sphere():
-    with pytest.raises(ValueError):
-        james_loop_homology(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +19,11 @@ def test_james_rejects_tiny_sphere():
 
 
 def test_dual_steenrod_generator_degrees():
-    assert [g.degree for g in dual_steenrod_spec().generators_below(8)] == [1, 3, 7]
-    assert [g.degree for g in dual_steenrod_spec().generators_below(2)] == [1]
+    # xi_k lies in degree 2^k - 1 and enters exactly when the cap reaches it
+    assert steenrod_series(2).coeffs == partition_dp([1], 2).coeffs
+    assert steenrod_series(7).coeffs == partition_dp([1, 3, 7], 7).coeffs
+    assert steenrod_series(14).coeffs == partition_dp([1, 3, 7], 14).coeffs
+    assert steenrod_series(15).coeffs == partition_dp([1, 3, 7, 15], 15).coeffs
 
 
 def test_dual_steenrod_series_low_degrees():
