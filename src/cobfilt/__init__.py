@@ -41,8 +41,10 @@ from .series import (
     AlgebraSpec,
     NotDivisibleError,
     TruncatedSeries,
+    div_polynomial,
     exact_div,
     mul,
+    mul_polynomial,
     series_of,
     simple_system_series,
 )

@@ -1,10 +1,11 @@
 """Brute-force oracles and the cross-checks tying the modules together.
 
 Every oracle here recomputes its target by a route the checked code
-never takes: restricted-partition counting by dynamic programming
-instead of series products, and exhaustive nested-loop enumeration of
-stage triples instead of valuation arithmetic.  A pass means two
-independent computations agree coefficient by coefficient.
+never takes: exhaustive nested-loop enumeration of stage triples
+instead of valuation arithmetic, a stage-by-stage chain of general
+convolutions (mul) against the stride kernel of series_of, and general
+long division (exact_div) between stages built from scratch.  A pass
+means two independent computations agree coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class CheckReport:
 def partition_dp(allowed: Iterable[int], cap: int) -> TruncatedSeries:
     """Count multisets of allowed parts by total, part by part.
 
-    This is the independent route to the series of a polynomial algebra
-    on the allowed degrees; it never touches the series code beyond the
-    final container.
+    It never touches the series code beyond the final container, but it
+    runs the same running sum per part as series_of, so the product
+    check also compares both against a chain of general convolutions.
     """
     parts = sorted(allowed)
     if any(p < 1 for p in parts):
@@ -152,7 +153,9 @@ def verify_main_theorem(cap: int) -> CheckReport:
 
     The series of the polynomial algebra on all generator degrees, the
     partition-counting oracle on the same degree set, and the stage-by-
-    stage cumulative product in stage order.
+    stage cumulative product in stage order.  The first two share the
+    running-sum algorithm; the stagewise route multiplies with the
+    general convolution mul, so it is the one on a different kernel.
     """
     gens = [d for d in range(2, cap + 1) if not is_excluded(d)]
     via_product = series_of(AlgebraSpec.polynomial(*gens), cap)
@@ -173,7 +176,12 @@ def verify_main_theorem(cap: int) -> CheckReport:
 
 def verify_quotient_steps(cap: int) -> CheckReport:
     """Each stage's homotopy series must be the previous stage's times
-    exactly 1/(1 - t^d) for the incoming generator degree d."""
+    exactly 1/(1 - t^d) for the incoming generator degree d.
+
+    Every stage is built from scratch and divided by the previous one
+    with the general exact_div, never by the stride kernels that built
+    it, so a stage cannot agree with its predecessor by construction.
+    """
     previous = adams_homotopy_series(BASE, cap)
     for entry in stages_up_to_degree(cap).entries:
         current = adams_homotopy_series(entry.triple, cap)

@@ -3,7 +3,9 @@ models, and verification suite.
 
 Every command emits one output envelope, as aligned text or as JSON
 with sorted keys, and state flows only through flags.  Exit codes:
-0 success, 1 verification failure, 2 domain error, 64 usage error.
+0 success, 1 verification failure, 2 domain error (an excluded degree,
+or a series coefficient beyond the unsigned 64-bit bound), 64 usage
+error.
 """
 
 from __future__ import annotations
@@ -75,19 +77,26 @@ def _stage_text(t: StageTriple) -> str:
     return f"({t.n},{t.j},{t.i})"
 
 
+def _parameters(ns: argparse.Namespace) -> dict:
+    """The envelope's parameters: every argument of the command, and the output format."""
+    params = {k: v for k, v in vars(ns).items() if k not in ("command", "func", "json")}
+    if "stage" in params:
+        params["stage"] = None if ns.stage is None else _stage_json(ns.stage)
+    params["format"] = "json" if ns.json else "table"
+    return params
+
+
 def _emit(
-    command: str,
-    parameters: dict,
-    as_json: bool,
+    ns: argparse.Namespace,
     *,
     result: dict | None = None,
     error: dict | None = None,
     text_lines: list[str],
 ) -> None:
-    if as_json:
+    if ns.json:
         envelope: dict[str, Any] = {
-            "command": command,
-            "parameters": parameters,
+            "command": ns.command,
+            "parameters": _parameters(ns),
             "status": "ok" if error is None else "error",
         }
         if error is None:
@@ -100,19 +109,18 @@ def _emit(
 
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:
-    params = {"degree": ns.degree, "format": "json" if ns.json else "table"}
     try:
         t = decompose(ns.degree)
     except ExcludedDegreeError as exc:
         _emit(
-            "decompose", params, ns.json,
+            ns,
             error={"code": "EXCLUDED_DEGREE", "message": str(exc)},
             text_lines=[f"error EXCLUDED_DEGREE: {exc}"],
         )
         return EXIT_DOMAIN_ERROR
     result = {"n": t.n, "j": t.j, "i": t.i, "recomposed": compose(t)}
     _emit(
-        "decompose", params, ns.json,
+        ns,
         result=result,
         text_lines=[f"degree {ns.degree}: stage (n={t.n}, j={t.j}, i={t.i})"],
     )
@@ -120,16 +128,11 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 
 
 def _cmd_recipe(ns: argparse.Namespace) -> int:
-    params = {
-        "degree": ns.degree,
-        "expand": bool(ns.expand),
-        "format": "json" if ns.json else "table",
-    }
     try:
         t = decompose(ns.degree)
     except ExcludedDegreeError as exc:
         _emit(
-            "recipe", params, ns.json,
+            ns,
             error={"code": "EXCLUDED_DEGREE", "message": str(exc)},
             text_lines=[f"error EXCLUDED_DEGREE: {exc}"],
         )
@@ -156,12 +159,11 @@ def _cmd_recipe(ns: argparse.Namespace) -> int:
         result["term"] = expand(recipe)
         lines.append(f"term {result['term']}")
     lines.append("chain " + " -> ".join(f"{s.rule}({s.dim})" for s in chain))
-    _emit("recipe", params, ns.json, result=result, text_lines=lines)
+    _emit(ns, result=result, text_lines=lines)
     return EXIT_OK
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
-    params = {"max_degree": ns.max_degree, "format": "json" if ns.json else "table"}
     table = stages_up_to_degree(ns.max_degree)
     rows = [
         {
@@ -176,7 +178,7 @@ def _cmd_table(ns: argparse.Namespace) -> int:
         lines.append(f"{entry.degree:<8}{_stage_text(entry.triple):<12}{row['term']}")
     lines.append(f"{len(rows)} generator(s) up to degree {ns.max_degree}")
     _emit(
-        "table", params, ns.json,
+        ns,
         result={"max_degree": ns.max_degree, "rows": rows},
         text_lines=lines,
     )
@@ -184,12 +186,6 @@ def _cmd_table(ns: argparse.Namespace) -> int:
 
 
 def _cmd_series(ns: argparse.Namespace) -> int:
-    params = {
-        "what": ns.what,
-        "stage": None if ns.stage is None else _stage_json(ns.stage),
-        "cap": ns.cap,
-        "format": "json" if ns.json else "table",
-    }
     if ns.what == "steenrod":
         series = steenrod_series(ns.cap)
         label = f"steenrod cap {ns.cap}"
@@ -198,7 +194,7 @@ def _cmd_series(ns: argparse.Namespace) -> int:
             message = f"--stage is required for {ns.what}"
             if ns.json:
                 _emit(
-                    "series", params, True,
+                    ns,
                     error={"code": "MISSING_STAGE", "message": message},
                     text_lines=[],
                 )
@@ -210,7 +206,7 @@ def _cmd_series(ns: argparse.Namespace) -> int:
         label = f"{ns.what} stage {_stage_text(ns.stage)} cap {ns.cap}"
     coeffs = list(series.coeffs)
     _emit(
-        "series", params, ns.json,
+        ns,
         result={"cap": ns.cap, "coefficients": coeffs},
         text_lines=[label, str(coeffs)],
     )
@@ -226,7 +222,6 @@ _CHECK_RUNNERS: dict[str, Callable[[int], Any]] = {
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    params = {"check": ns.check, "cap": ns.cap, "format": "json" if ns.json else "table"}
     names = list(_CHECK_RUNNERS) if ns.check == "all" else [ns.check]
     payload = []
     lines = []
@@ -246,7 +241,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     all_passed = failures == 0
     lines.append("result: all checks passed" if all_passed else f"result: {failures} check(s) failed")
     _emit(
-        "verify", params, ns.json,
+        ns,
         result={"cap": ns.cap, "checks": payload, "all_passed": all_passed},
         text_lines=lines,
     )
@@ -295,7 +290,17 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return ns.func(ns)
+    try:
+        return ns.func(ns)
+    except OverflowError as exc:
+        # TruncatedSeries refuses a coefficient beyond the u64 bound; commands
+        # print only once their work is done, so nothing else reached stdout.
+        _emit(
+            ns,
+            error={"code": "COEFFICIENT_OVERFLOW", "message": str(exc)},
+            text_lines=[f"error COEFFICIENT_OVERFLOW: {exc}"],
+        )
+        return EXIT_DOMAIN_ERROR
 
 
 if __name__ == "__main__":

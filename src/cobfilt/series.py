@@ -6,6 +6,16 @@ Every algebra the filtration needs is polynomial, so an algebra is
 described by its generator degrees alone and converted to its Poincare
 series by multiplying one factor 1 / (1 - t^d) per generator of degree d.
 
+Each such factor is a stride kernel on one list of coefficients, O(cap)
+per generator: multiplying by 1 / (1 - t^d) is a forward running sum
+with stride d (series_of, mul_polynomial), dividing by it is a backward
+difference with stride d (div_polynomial), and a height-1 factor
+1 + t^e is one descending pass (simple_system_series).  The general
+O(cap^2) kernels mul and exact_div stay as the independent routes of the
+checks: the product check multiplies its stagewise route with mul, and
+the quotient check divides each stage by the previous one with
+exact_div.
+
 Coefficients are plain Python integers validated against the unsigned
 64-bit bound at construction, so a count that outgrows the fixed-width
 contract raises OverflowError instead of silently corrupting a table.
@@ -18,6 +28,7 @@ precision.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 U64_MAX = 2**64 - 1
@@ -110,18 +121,15 @@ def exact_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if b.coeffs[0] != 1:
         raise ValueError("divisor must have constant coefficient 1")
     cap = a.cap
-    q = [0] * (cap + 1)
+    q: list[int] = []
     for t in range(cap + 1):
-        acc = a.coeffs[t]
-        for u in range(1, t + 1):
-            bu = b.coeffs[u]
-            if bu:
-                acc -= bu * q[t - u]
+        # a[t] minus b[u] q[t - u] for u = 1..t, q holding degrees 0..t-1
+        acc = a.coeffs[t] - sum(map(operator.mul, b.coeffs[1 : t + 1], reversed(q)))
         if acc < 0:
             raise NotDivisibleError(
                 f"quotient coefficient in degree {t} would be {acc}"
             )
-        q[t] = acc
+        q.append(acc)
     return TruncatedSeries(cap, tuple(q))
 
 
@@ -130,10 +138,37 @@ def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
 
     Generators above the cap contribute the factor 1 and are skipped.
     """
-    out = TruncatedSeries.unit(cap)
+    coeffs = [1] + [0] * cap
+    _times_geometric(coeffs, spec.generators_below(cap))
+    return TruncatedSeries(cap, tuple(coeffs))
+
+
+def mul_polynomial(a: TruncatedSeries, spec: AlgebraSpec) -> TruncatedSeries:
+    """a times the Poincare series of spec, the same as mul(a, series_of(spec, a.cap))."""
+    coeffs = list(a.coeffs)
+    _times_geometric(coeffs, spec.generators_below(a.cap))
+    return TruncatedSeries(a.cap, tuple(coeffs))
+
+
+def div_polynomial(a: TruncatedSeries, spec: AlgebraSpec) -> TruncatedSeries:
+    """a divided by the Poincare series of spec, the same as
+    exact_div(a, series_of(spec, a.cap)), errors included.
+
+    Dividing by 1 / (1 - t^d) is multiplying by 1 - t^d: one backward
+    difference with stride d, taken from the top degree down so each step
+    reads a coefficient not yet changed.  The quotient is unique, so a
+    negative coefficient anywhere means a is not divisible; the lowest
+    one is reported, as exact_div would.
+    """
+    cap = a.cap
+    coeffs = list(a.coeffs)
     for d in spec.generators_below(cap):
-        out = mul(out, _stride_series(d, cap, cap))
-    return out
+        for t in range(cap, d - 1, -1):
+            coeffs[t] -= coeffs[t - d]
+    for t, c in enumerate(coeffs):
+        if c < 0:
+            raise NotDivisibleError(f"quotient coefficient in degree {t} would be {c}")
+    return TruncatedSeries(cap, tuple(coeffs))
 
 
 def simple_system_series(d: int, cap: int) -> TruncatedSeries:
@@ -142,20 +177,23 @@ def simple_system_series(d: int, cap: int) -> TruncatedSeries:
     Binary expansion makes this equal to the polynomial series on one
     degree-d generator, but it is computed here as a genuine product of
     (1 + t^(d 2^a)) factors so the identity stays an honest cross-check.
+    Each factor is one pass from the top degree down, so every step reads
+    a coefficient the factor has not touched yet.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    out = TruncatedSeries.unit(cap)
+    coeffs = [1] + [0] * cap
     e = d
     while e <= cap:
-        out = mul(out, _stride_series(e, e, cap))
+        for t in range(cap, e - 1, -1):
+            coeffs[t] += coeffs[t - e]
         e *= 2
-    return out
-
-
-def _stride_series(d: int, top: int, cap: int) -> TruncatedSeries:
-    # 1 + t^d + t^2d + ... through degree min(top, cap)
-    coeffs = [0] * (cap + 1)
-    for t in range(0, min(top, cap) + 1, d):
-        coeffs[t] = 1
     return TruncatedSeries(cap, tuple(coeffs))
+
+
+def _times_geometric(coeffs: list[int], degrees: tuple[int, ...]) -> None:
+    # Multiply in place by 1 / (1 - t^d) for each d: a forward running sum
+    # with stride d, ascending, so coeffs[t - d] already includes the factor.
+    for d in degrees:
+        for t in range(d, len(coeffs)):
+            coeffs[t] += coeffs[t - d]

@@ -11,6 +11,15 @@ A_* (x) Z/2[one generator per stage up to this one], and since the
 Adams spectral sequence of such a complex collapses onto its s = 0
 line, the homotopy dimension count is exactly the quotient by the A_*
 factor.
+
+Both series go through the stride kernels of cobfilt.series, O(cap) per
+generator: the Thom homology is the cached A_* series times one running
+sum per stage generator, and the homotopy series divides A_* back out by
+one backward difference per xi_k degree 2^k - 1.  That division is a
+real one: a homology series that A_* does not divide raises
+NotDivisibleError.  The Thom series is validated before the division,
+so the homotopy route overflows wherever the homology does, even where
+the quotient itself would fit in 64 bits.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .degrees import StageTriple, stages_up_to_degree
-from .series import AlgebraSpec, TruncatedSeries, exact_div, mul, series_of
+from .series import AlgebraSpec, TruncatedSeries, div_polynomial, mul_polynomial, series_of
 
 
 @dataclass(frozen=True)
@@ -39,12 +48,16 @@ class MilnorMonomial:
         return sum(e * ((1 << k) - 1) for k, e in enumerate(self.exponents, start=1))
 
 
+def _steenrod_spec(cap: int) -> AlgebraSpec:
+    # xi_k in degree 2^k - 1 for every k with 2^k - 1 <= cap
+    return AlgebraSpec.polynomial(*((1 << k) - 1 for k in range(1, (cap + 1).bit_length())))
+
+
 @lru_cache(maxsize=None)
 def steenrod_series(cap: int) -> TruncatedSeries:
     """Dimension series of the dual Steenrod algebra up to cap: polynomial
     on xi_k in degree 2^k - 1 for every k with 2^k - 1 <= cap."""
-    xi_degrees = ((1 << k) - 1 for k in range(1, (cap + 1).bit_length()))
-    return series_of(AlgebraSpec.polynomial(*xi_degrees), cap)
+    return series_of(_steenrod_spec(cap), cap)
 
 
 def milnor_monomials(t: int) -> list[MilnorMonomial]:
@@ -95,7 +108,7 @@ def thom_homology_series(t: StageTriple, cap: int) -> TruncatedSeries:
     the polynomial algebra on the generators present at the stage.
     """
     loop_factor = AlgebraSpec.polynomial(*stage_generator_degrees(t, cap))
-    return mul(steenrod_series(cap), series_of(loop_factor, cap))
+    return mul_polynomial(steenrod_series(cap), loop_factor)
 
 
 def adams_homotopy_series(t: StageTriple, cap: int) -> TruncatedSeries:
@@ -107,4 +120,4 @@ def adams_homotopy_series(t: StageTriple, cap: int) -> TruncatedSeries:
     failing would falsify the model, hence the propagated
     NotDivisibleError instead of a fallback.
     """
-    return exact_div(thom_homology_series(t, cap), steenrod_series(cap))
+    return div_polynomial(thom_homology_series(t, cap), _steenrod_spec(cap))

@@ -12,7 +12,7 @@ from cobfilt.checks import (
     verify_quotient_steps,
     verify_simple_systems,
 )
-from cobfilt.series import AlgebraSpec, TruncatedSeries, series_of
+from cobfilt.series import AlgebraSpec, TruncatedSeries, mul, series_of
 
 
 def count_multisets(parts, total):
@@ -152,6 +152,21 @@ def test_main_theorem_detects_a_wrong_product_coefficient(monkeypatch):
     report = verify_main_theorem(8)
     assert not report.passed
     assert report.first_discrepancy == Discrepancy(5, 1, {"product": 2})
+
+
+def test_main_theorem_detects_a_wrong_stagewise_convolution(monkeypatch):
+    # series_of and partition_dp share the running-sum algorithm, so only the
+    # stagewise route runs a different kernel; it must be able to fail on its own
+    def corrupted(a, b):
+        coeffs = list(mul(a, b).coeffs)
+        coeffs[5] += 1
+        return TruncatedSeries(a.cap, tuple(coeffs))
+
+    monkeypatch.setattr(checks, "mul", corrupted)
+    report = verify_main_theorem(8)
+    assert not report.passed
+    # the true count 1, plus one extra from each of the five stage products up to degree 8
+    assert report.first_discrepancy == Discrepancy(5, 1, {"stagewise": 6})
 
 
 def test_quotient_steps_detect_a_dropped_stage_generator(monkeypatch):

@@ -196,6 +196,46 @@ def test_verify_rejects_tiny_cap(run_cli):
 
 
 # ---------------------------------------------------------------------------
+# coefficient overflow
+
+# The last stage at cap 417 carries every generator and its homology needs
+# more than 64 bits in degree 417; the ring series itself does in degree 540.
+OVERFLOWING = [
+    pytest.param(argv, degree, id=" ".join(argv))
+    for argv, degree in (
+        (("series", "homology", "--stage", "105,0,0", "--cap", "417"), 417),
+        (("series", "homotopy", "--stage", "105,0,0", "--cap", "417"), 417),
+        (("verify", "--check", "all", "--cap", "560"), 540),
+    )
+]
+
+
+@pytest.mark.parametrize("argv,degree", OVERFLOWING)
+def test_overflow_is_a_domain_error(run_cli, argv, degree):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == (
+        f"error COEFFICIENT_OVERFLOW: coefficient in degree {degree} exceeds the 64-bit bound\n"
+    )
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv,degree", OVERFLOWING)
+def test_overflow_json_envelope(run_cli, envelope_validator, argv, degree):
+    code, out, _ = run_cli(*argv, "--json")
+    assert code == 2
+    envelope = json.loads(out)
+    envelope_validator.validate(envelope)
+    assert envelope["command"] == argv[0]
+    assert envelope["status"] == "error"
+    assert envelope["error"] == {
+        "code": "COEFFICIENT_OVERFLOW",
+        "message": f"coefficient in degree {degree} exceeds the 64-bit bound",
+    }
+    assert envelope["parameters"]["cap"] == int(argv[-1])
+
+
+# ---------------------------------------------------------------------------
 # golden files
 
 
@@ -281,3 +321,5 @@ def test_subprocess_exit_codes():
     assert run_subprocess("decompose", "7").returncode == 2
     assert run_subprocess("decompose", "x").returncode == 64
     assert run_subprocess("verify", "--check", "bijection", "--cap", "8").returncode == 0
+    overflow = run_subprocess("series", "homology", "--stage", "105,0,0", "--cap", "417")
+    assert (overflow.returncode, overflow.stderr) == (2, "")

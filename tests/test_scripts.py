@@ -1,0 +1,40 @@
+"""The two scripts run end to end on the kernels they import."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cobfilt.degrees import stages_up_to_degree
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*argv):
+    pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in pythonpath if p))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_stage_walkthrough_confirms_every_quotient():
+    proc = run_script("stage_walkthrough.py", "--bound", "24")
+    assert proc.returncode == 0, proc.stderr
+    assert "MISMATCH" not in proc.stdout
+    assert proc.stdout.count("[ok]") == len(stages_up_to_degree(24).entries)
+
+
+def test_steenrod_dimensions_agree_by_both_routes():
+    proc = run_script("steenrod_dimensions.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "MISMATCH" not in proc.stdout
+    # header plus one row per degree 0..12 before the monomial listing
+    table = proc.stdout.split("\n\n")[0].splitlines()
+    assert len(table) == 14

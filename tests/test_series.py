@@ -1,13 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from cobfilt.degrees import is_excluded
 from cobfilt.series import (
     U64_MAX,
     AlgebraSpec,
     NotDivisibleError,
     TruncatedSeries,
+    div_polynomial,
     exact_div,
     mul,
+    mul_polynomial,
     series_of,
     simple_system_series,
 )
@@ -20,6 +23,19 @@ def brute_convolution(a, b):
     for t in range(cap + 1):
         out[t] = sum(a.coeffs[u] * b.coeffs[t - u] for u in range(t + 1))
     return tuple(out)
+
+
+def geometric(d, cap):
+    # 1 + t^d + t^2d + ... written out by hand, never through series_of
+    return TruncatedSeries(cap, tuple(int(t % d == 0) for t in range(cap + 1)))
+
+
+def convolution_product(degrees, cap):
+    # the series of Z/2[x_d for d in degrees] as a chain of general convolutions
+    out = TruncatedSeries.unit(cap)
+    for d in degrees:
+        out = mul(out, geometric(d, cap))
+    return out
 
 
 @st.composite
@@ -43,6 +59,18 @@ def series_triples(draw, max_cap=12, max_coeff=12):
 @st.composite
 def algebra_specs(draw, max_gens=6, max_degree=10):
     return AlgebraSpec(tuple(draw(st.lists(st.integers(1, max_degree), max_size=max_gens))))
+
+
+@st.composite
+def capped_specs(draw, max_cap=20):
+    # repeated degrees and degrees above the cap both occur
+    cap = draw(st.integers(0, max_cap))
+    degrees = draw(st.lists(st.integers(1, cap + 6), max_size=8))
+    return AlgebraSpec(tuple(degrees)), cap
+
+
+def coefficient_lists(cap, max_coeff=30):
+    return st.lists(st.integers(0, max_coeff), min_size=cap + 1, max_size=cap + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +108,68 @@ def test_tensor_factorization_over_generator_split(spec, cap, data):
     combined = series_of(spec, cap)
     split = mul(series_of(left, cap), series_of(right, cap))
     assert combined.coeffs == split.coeffs
+
+
+def test_repeated_generator_degree_counts_twice():
+    # Z/2[x2, x2']: degree 2k has the k + 1 monomials x2^a x2'^(k - a)
+    assert series_of(AlgebraSpec.polynomial(2, 2, 9), 6).coeffs == (1, 0, 2, 0, 3, 0, 4)
+
+
+@given(capped_specs())
+def test_series_of_equals_chain_of_convolutions(spec_cap):
+    spec, cap = spec_cap
+    assert series_of(spec, cap).coeffs == convolution_product(spec.degrees, cap).coeffs
+
+
+def test_ring_series_fits_u64_through_cap_539():
+    gens = [d for d in range(2, 541) if not is_excluded(d)]
+    assert series_of(AlgebraSpec.polynomial(*gens), 539)[539] <= U64_MAX
+    with pytest.raises(OverflowError, match="degree 540 "):
+        series_of(AlgebraSpec.polynomial(*gens), 540)
+
+
+# ---------------------------------------------------------------------------
+# mul_polynomial and div_polynomial
+
+
+@given(capped_specs(), st.data())
+def test_mul_polynomial_equals_convolution(spec_cap, data):
+    spec, cap = spec_cap
+    a = TruncatedSeries(cap, tuple(data.draw(coefficient_lists(cap))))
+    assert mul_polynomial(a, spec).coeffs == mul(a, convolution_product(spec.degrees, cap)).coeffs
+
+
+@given(capped_specs(), st.data())
+def test_div_polynomial_then_mul_polynomial_round_trip(spec_cap, data):
+    spec, cap = spec_cap
+    quotient = TruncatedSeries(cap, tuple(data.draw(coefficient_lists(cap))))
+    a = mul(quotient, convolution_product(spec.degrees, cap))
+    assert div_polynomial(a, spec).coeffs == quotient.coeffs
+    assert mul_polynomial(div_polynomial(a, spec), spec).coeffs == a.coeffs
+
+
+@given(capped_specs(), st.data())
+def test_div_polynomial_agrees_with_exact_div(spec_cap, data):
+    # mostly not divisible: both routes must refuse with the same witness
+    spec, cap = spec_cap
+    a = TruncatedSeries(cap, (1,) + tuple(data.draw(coefficient_lists(cap, max_coeff=3)))[1:])
+    b = convolution_product(spec.degrees, cap)
+    try:
+        expected = exact_div(a, b)
+    except NotDivisibleError as exc:
+        with pytest.raises(NotDivisibleError) as raised:
+            div_polynomial(a, spec)
+        assert str(raised.value) == str(exc)
+    else:
+        assert div_polynomial(a, spec).coeffs == expected.coeffs
+
+
+def test_div_polynomial_detects_a_non_divisible_series():
+    # 1 / (1/(1 - t^2)) = 1 - t^2
+    with pytest.raises(NotDivisibleError, match="degree 2 would be -1"):
+        div_polynomial(TruncatedSeries.unit(4), AlgebraSpec.polynomial(2))
+    with pytest.raises(NotDivisibleError, match="degree 3 would be -1"):
+        div_polynomial(TruncatedSeries(4, (1, 1, 1, 0, 1)), AlgebraSpec.polynomial(1))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +264,17 @@ def test_simple_system_degree_one():
 
 def test_simple_system_base_five():
     assert simple_system_series(5, 9).coeffs == (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)
+
+
+@given(st.integers(1, 20), st.integers(0, 40))
+def test_simple_system_equals_brute_force_product(d, cap):
+    product = TruncatedSeries.unit(cap)
+    e = d
+    while e <= cap:
+        factor = TruncatedSeries(cap, tuple(int(t in (0, e)) for t in range(cap + 1)))
+        product = TruncatedSeries(cap, brute_convolution(product, factor))
+        e *= 2
+    assert simple_system_series(d, cap).coeffs == product.coeffs
 
 
 @given(st.integers(1, 32), st.integers(0, 64))

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from cobfilt.checks import partition_dp
 from cobfilt.degrees import BASE, StageTriple, stages_up_to_degree
-from cobfilt.series import AlgebraSpec, mul, series_of
+from cobfilt.series import AlgebraSpec, exact_div, mul, series_of
 from cobfilt.spaces import (
     MilnorMonomial,
     adams_homotopy_series,
@@ -126,11 +126,35 @@ def test_homotopy_series_is_stage_polynomial_algebra():
 
 def test_consecutive_stage_quotients_add_one_polynomial_generator():
     cap = 24
-    from cobfilt.series import exact_div
-
     previous = adams_homotopy_series(BASE, cap)
     for entry in stages_up_to_degree(cap).entries:
         current = adams_homotopy_series(entry.triple, cap)
         quotient = exact_div(current, previous)
         assert quotient.coeffs == series_of(AlgebraSpec.polynomial(entry.degree), cap).coeffs
         previous = current
+
+
+def test_homotopy_series_equals_general_division_at_every_stage():
+    # the stride division against exact_div, the route adams_homotopy_series used to take
+    cap = 48
+    A = steenrod_series(cap)
+    for t in [BASE] + stages_up_to_degree(cap).triples():
+        expected = exact_div(thom_homology_series(t, cap), A)
+        assert adams_homotopy_series(t, cap).coeffs == expected.coeffs, t
+
+
+def test_thom_series_fits_u64_through_cap_416():
+    # (105,0,0) is the last stage at cap 416, so its Thom complex carries every generator
+    last = StageTriple(105, 0, 0)
+    assert stages_up_to_degree(416).triples()[-1] == last
+    thom_homology_series(last, 416)
+    with pytest.raises(OverflowError, match="degree 417 "):
+        thom_homology_series(last, 417)
+
+
+def test_adams_route_overflows_on_its_thom_intermediate():
+    # the homotopy series at cap 417 fits in 64 bits, the homology it is divided out of does not
+    last = StageTriple(105, 0, 0)
+    series_of(AlgebraSpec.polynomial(*stage_generator_degrees(last, 417)), 417)
+    with pytest.raises(OverflowError, match="degree 417 "):
+        adams_homotopy_series(last, 417)
