@@ -3,9 +3,10 @@ models, and verification suite.
 
 Every command emits one output envelope, as aligned text or as JSON
 with sorted keys, and state flows only through flags.  Exit codes:
-0 success, 1 verification failure, 2 domain error (an excluded degree,
-or a series coefficient beyond the unsigned 64-bit bound), 64 usage
-error.
+0 success, 1 verification failure, 2 domain error, 64 usage error,
+70 internal error.  Every error code comes from the one table in
+`main`: EXCLUDED_DEGREE and COEFFICIENT_OVERFLOW (2), MISSING_STAGE
+(64), and INTERNAL (70, with the traceback on stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Any, Callable
 
 from .checks import (
@@ -29,8 +31,27 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_DOMAIN_ERROR = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 DEFAULT_CAP = 64
+
+# What a command returns: exit status, the envelope's result, the text lines.
+_Outcome = tuple[int, dict, list[str]]
+
+
+class _MissingStage(Exception):
+    """series homotopy|homology was asked for without --stage."""
+
+
+# Every error a command raises, mapped to its exit status and code: the
+# first row whose class matches wins, so Exception must stay last.
+_ERRORS: tuple[tuple[type[Exception], int, str], ...] = (
+    (ExcludedDegreeError, EXIT_DOMAIN_ERROR, "EXCLUDED_DEGREE"),
+    # TruncatedSeries refuses a coefficient beyond the u64 bound.
+    (OverflowError, EXIT_DOMAIN_ERROR, "COEFFICIENT_OVERFLOW"),
+    (_MissingStage, EXIT_USAGE, "MISSING_STAGE"),
+    (Exception, EXIT_INTERNAL, "INTERNAL"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,57 +107,14 @@ def _parameters(ns: argparse.Namespace) -> dict:
     return params
 
 
-def _emit(
-    ns: argparse.Namespace,
-    *,
-    result: dict | None = None,
-    error: dict | None = None,
-    text_lines: list[str],
-) -> None:
-    if ns.json:
-        envelope: dict[str, Any] = {
-            "command": ns.command,
-            "parameters": _parameters(ns),
-            "status": "ok" if error is None else "error",
-        }
-        if error is None:
-            envelope["result"] = result
-        else:
-            envelope["error"] = error
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
-        print("\n".join(text_lines))
-
-
-def _cmd_decompose(ns: argparse.Namespace) -> int:
-    try:
-        t = decompose(ns.degree)
-    except ExcludedDegreeError as exc:
-        _emit(
-            ns,
-            error={"code": "EXCLUDED_DEGREE", "message": str(exc)},
-            text_lines=[f"error EXCLUDED_DEGREE: {exc}"],
-        )
-        return EXIT_DOMAIN_ERROR
+def _cmd_decompose(ns: argparse.Namespace) -> _Outcome:
+    t = decompose(ns.degree)
     result = {"n": t.n, "j": t.j, "i": t.i, "recomposed": compose(t)}
-    _emit(
-        ns,
-        result=result,
-        text_lines=[f"degree {ns.degree}: stage (n={t.n}, j={t.j}, i={t.i})"],
-    )
-    return EXIT_OK
+    return EXIT_OK, result, [f"degree {ns.degree}: stage (n={t.n}, j={t.j}, i={t.i})"]
 
 
-def _cmd_recipe(ns: argparse.Namespace) -> int:
-    try:
-        t = decompose(ns.degree)
-    except ExcludedDegreeError as exc:
-        _emit(
-            ns,
-            error={"code": "EXCLUDED_DEGREE", "message": str(exc)},
-            text_lines=[f"error EXCLUDED_DEGREE: {exc}"],
-        )
-        return EXIT_DOMAIN_ERROR
+def _cmd_recipe(ns: argparse.Namespace) -> _Outcome:
+    t = decompose(ns.degree)
     recipe = plan(ns.degree)
     chain = indecomposable(recipe)
     result = {
@@ -159,11 +137,10 @@ def _cmd_recipe(ns: argparse.Namespace) -> int:
         result["term"] = expand(recipe)
         lines.append(f"term {result['term']}")
     lines.append("chain " + " -> ".join(f"{s.rule}({s.dim})" for s in chain))
-    _emit(ns, result=result, text_lines=lines)
-    return EXIT_OK
+    return EXIT_OK, result, lines
 
 
-def _cmd_table(ns: argparse.Namespace) -> int:
+def _cmd_table(ns: argparse.Namespace) -> _Outcome:
     table = stages_up_to_degree(ns.max_degree)
     rows = [
         {
@@ -177,40 +154,21 @@ def _cmd_table(ns: argparse.Namespace) -> int:
     for entry, row in zip(table.entries, rows):
         lines.append(f"{entry.degree:<8}{_stage_text(entry.triple):<12}{row['term']}")
     lines.append(f"{len(rows)} generator(s) up to degree {ns.max_degree}")
-    _emit(
-        ns,
-        result={"max_degree": ns.max_degree, "rows": rows},
-        text_lines=lines,
-    )
-    return EXIT_OK
+    return EXIT_OK, {"max_degree": ns.max_degree, "rows": rows}, lines
 
 
-def _cmd_series(ns: argparse.Namespace) -> int:
+def _cmd_series(ns: argparse.Namespace) -> _Outcome:
     if ns.what == "steenrod":
         series = steenrod_series(ns.cap)
         label = f"steenrod cap {ns.cap}"
     else:
         if ns.stage is None:
-            message = f"--stage is required for {ns.what}"
-            if ns.json:
-                _emit(
-                    ns,
-                    error={"code": "MISSING_STAGE", "message": message},
-                    text_lines=[],
-                )
-            else:
-                print(f"cobfilt series: error: {message}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _MissingStage(f"--stage is required for {ns.what}")
         fn = adams_homotopy_series if ns.what == "homotopy" else thom_homology_series
         series = fn(ns.stage, ns.cap)
         label = f"{ns.what} stage {_stage_text(ns.stage)} cap {ns.cap}"
     coeffs = list(series.coeffs)
-    _emit(
-        ns,
-        result={"cap": ns.cap, "coefficients": coeffs},
-        text_lines=[label, str(coeffs)],
-    )
-    return EXIT_OK
+    return EXIT_OK, {"cap": ns.cap, "coefficients": coeffs}, [label, str(coeffs)]
 
 
 _CHECK_RUNNERS: dict[str, Callable[[int], Any]] = {
@@ -221,7 +179,7 @@ _CHECK_RUNNERS: dict[str, Callable[[int], Any]] = {
 }
 
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> _Outcome:
     names = list(_CHECK_RUNNERS) if ns.check == "all" else [ns.check]
     payload = []
     lines = []
@@ -240,67 +198,71 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         payload.append(entry)
     all_passed = failures == 0
     lines.append("result: all checks passed" if all_passed else f"result: {failures} check(s) failed")
-    _emit(
-        ns,
-        result={"cap": ns.cap, "checks": payload, "all_passed": all_passed},
-        text_lines=lines,
-    )
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    result = {"cap": ns.cap, "checks": payload, "all_passed": all_passed}
+    return (EXIT_OK if all_passed else EXIT_CHECK_FAILED), result, lines
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cobfilt", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+# Built once: parse_args keeps no state on the parser between calls.
+_PARSER = _Parser(prog="cobfilt", description=__doc__)
+_sub = _PARSER.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("decompose", help="degree to stage triple")
-    p.add_argument("degree", type=_nonneg_int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_decompose)
+_p = _sub.add_parser("decompose", help="degree to stage triple")
+_p.add_argument("degree", type=_nonneg_int)
+_p.add_argument("--json", action="store_true")
+_p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("recipe", help="cup-construction recipe for a degree")
-    p.add_argument("degree", type=_nonneg_int)
-    p.add_argument("--expand", action="store_true", help="include the symbolic term")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_recipe)
+_p = _sub.add_parser("recipe", help="cup-construction recipe for a degree")
+_p.add_argument("degree", type=_nonneg_int)
+_p.add_argument("--expand", action="store_true", help="include the symbolic term")
+_p.add_argument("--json", action="store_true")
+_p.set_defaults(func=_cmd_recipe)
 
-    p = sub.add_parser("table", help="generator table up to a degree")
-    p.add_argument("max_degree", type=_nonneg_int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_table)
+_p = _sub.add_parser("table", help="generator table up to a degree")
+_p.add_argument("max_degree", type=_nonneg_int)
+_p.add_argument("--json", action="store_true")
+_p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("series", help="dimension series of a stage")
-    p.add_argument("what", choices=["homotopy", "homology", "steenrod"])
-    p.add_argument("--stage", type=_stage, help="stage triple n,j,i")
-    p.add_argument("--cap", type=_nonneg_int, default=DEFAULT_CAP)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_series)
+_p = _sub.add_parser("series", help="dimension series of a stage")
+_p.add_argument("what", choices=["homotopy", "homology", "steenrod"])
+_p.add_argument("--stage", type=_stage, help="stage triple n,j,i")
+_p.add_argument("--cap", type=_nonneg_int, default=DEFAULT_CAP)
+_p.add_argument("--json", action="store_true")
+_p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--check", choices=["all", *_CHECK_RUNNERS], default="all")
-    p.add_argument("--cap", type=_verify_cap, default=DEFAULT_CAP)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
-    return parser
+_p = _sub.add_parser("verify", help="run the verification suite")
+_p.add_argument("--check", choices=["all", *_CHECK_RUNNERS], default="all")
+_p.add_argument("--cap", type=_verify_cap, default=DEFAULT_CAP)
+_p.add_argument("--json", action="store_true")
+_p.set_defaults(func=_cmd_verify)
+del _sub, _p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command; the only place that writes its output or picks its exit status."""
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return ns.func(ns)
-    except OverflowError as exc:
-        # TruncatedSeries refuses a coefficient beyond the u64 bound; commands
-        # print only once their work is done, so nothing else reached stdout.
-        _emit(
-            ns,
-            error={"code": "COEFFICIENT_OVERFLOW", "message": str(exc)},
-            text_lines=[f"error COEFFICIENT_OVERFLOW: {exc}"],
-        )
-        return EXIT_DOMAIN_ERROR
+        status, result, lines = ns.func(ns)
+        key, value = "result", result
+    except Exception as exc:
+        # Commands print nothing themselves, so nothing reached stdout yet.
+        status, code = next((s, c) for cls, s, c in _ERRORS if isinstance(exc, cls))
+        key, value = "error", {"code": code, "message": str(exc)}
+        lines = [f"error {code}: {exc}"]
+        if status == EXIT_INTERNAL:
+            traceback.print_exc()
+        elif status == EXIT_USAGE and not ns.json:  # worded as argparse words a usage error
+            print(f"{_PARSER.prog} {ns.command}: error: {exc}", file=sys.stderr)
+            return status
+    if ns.json:
+        status_word = "ok" if key == "result" else "error"
+        envelope = {"command": ns.command, "parameters": _parameters(ns), "status": status_word, key: value}
+        print(json.dumps(envelope, sort_keys=True, indent=2))
+    else:
+        print("\n".join(lines))
+    return status
 
 
 if __name__ == "__main__":

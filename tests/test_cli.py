@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +8,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cobfilt import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -196,43 +202,66 @@ def test_verify_rejects_tiny_cap(run_cli):
 
 
 # ---------------------------------------------------------------------------
-# coefficient overflow
+# domain errors
 
-# The last stage at cap 417 carries every generator and its homology needs
-# more than 64 bits in degree 417; the ring series itself does in degree 540.
-OVERFLOWING = [
-    pytest.param(argv, degree, id=" ".join(argv))
-    for argv, degree in (
-        (("series", "homology", "--stage", "105,0,0", "--cap", "417"), 417),
-        (("series", "homotopy", "--stage", "105,0,0", "--cap", "417"), 417),
-        (("verify", "--check", "all", "--cap", "560"), 540),
+
+def _overflow(degree):
+    return "COEFFICIENT_OVERFLOW", f"coefficient in degree {degree} exceeds the 64-bit bound"
+
+
+# Every domain error exits 2 with its code and message.  The last stage at
+# cap 417 carries every generator and its homology needs more than 64 bits in
+# degree 417; the ring series itself does in degree 540.
+DOMAIN_ERRORS = [
+    pytest.param(argv, code, message, id=" ".join(argv))
+    for argv, (code, message) in (
+        (("series", "homology", "--stage", "105,0,0", "--cap", "417"), _overflow(417)),
+        (("series", "homotopy", "--stage", "105,0,0", "--cap", "417"), _overflow(417)),
+        (("verify", "--check", "all", "--cap", "560"), _overflow(540)),
+        (("decompose", "7"), ("EXCLUDED_DEGREE", "no generator in degree 7: 8 is a power of two")),
+        (("recipe", "3"), ("EXCLUDED_DEGREE", "no generator in degree 3: 4 is a power of two")),
     )
 ]
 
 
-@pytest.mark.parametrize("argv,degree", OVERFLOWING)
-def test_overflow_is_a_domain_error(run_cli, argv, degree):
-    code, out, err = run_cli(*argv)
-    assert code == 2
-    assert out == (
-        f"error COEFFICIENT_OVERFLOW: coefficient in degree {degree} exceeds the 64-bit bound\n"
-    )
+@pytest.mark.parametrize("argv,code,message", DOMAIN_ERRORS)
+def test_overflow_is_a_domain_error(run_cli, argv, code, message):
+    exit_code, out, err = run_cli(*argv)
+    assert exit_code == 2
+    assert out == f"error {code}: {message}\n"
     assert err == ""
 
 
-@pytest.mark.parametrize("argv,degree", OVERFLOWING)
-def test_overflow_json_envelope(run_cli, envelope_validator, argv, degree):
-    code, out, _ = run_cli(*argv, "--json")
-    assert code == 2
+@pytest.mark.parametrize("argv,code,message", DOMAIN_ERRORS)
+def test_overflow_json_envelope(run_cli, envelope_validator, argv, code, message):
+    exit_code, out, err = run_cli(*argv, "--json")
+    assert exit_code == 2
+    assert err == ""
     envelope = json.loads(out)
     envelope_validator.validate(envelope)
     assert envelope["command"] == argv[0]
     assert envelope["status"] == "error"
-    assert envelope["error"] == {
-        "code": "COEFFICIENT_OVERFLOW",
-        "message": f"coefficient in degree {degree} exceeds the 64-bit bound",
-    }
-    assert envelope["parameters"]["cap"] == int(argv[-1])
+    assert envelope["error"] == {"code": code, "message": message}
+    assert envelope["parameters"]["cap" if "--cap" in argv else "degree"] == int(argv[-1])
+
+
+def test_unexpected_exception_is_internal(run_cli, envelope_validator, monkeypatch):
+    def broken(cap):
+        raise RuntimeError("injected defect")
+
+    monkeypatch.setitem(cli._CHECK_RUNNERS, "bijection", broken)
+    argv = ("verify", "--check", "bijection", "--cap", "8")
+    code, out, err = run_cli(*argv)
+    assert code == 70
+    assert out == "error INTERNAL: injected defect\n"
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: injected defect\n")
+    code, out, err = run_cli(*argv, "--json")
+    assert code == 70
+    assert "RuntimeError: injected defect" in err
+    envelope = json.loads(out)
+    envelope_validator.validate(envelope)
+    assert envelope["error"] == {"code": "INTERNAL", "message": "injected defect"}
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +330,86 @@ def test_output_is_byte_identical_across_runs(run_cli):
     first = run_cli("table", "32", "--json")
     second = run_cli("table", "32", "--json")
     assert first == second
+
+
+def test_the_module_parser_carries_nothing_between_calls(run_cli):
+    # The parser is built once at import; every call must parse as if fresh.
+    argvs = [argv + fmt for argv in ALL_JSON_INVOCATIONS for fmt in ((), ("--json",))]
+    argvs += [
+        ("decompose", "7"),
+        ("series", "homotopy", "--cap", "4"),
+        ("series", "homotopy", "--cap", "4", "--json"),
+        ("decompose", "abc"),
+    ]
+    forward = [run_cli(*argv) for argv in argvs]
+    backward = [run_cli(*argv) for argv in reversed(argvs)]
+    assert forward == backward[::-1]
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing
+
+COMMANDS = ("decompose", "recipe", "table", "series", "verify")
+# Degrees, caps and table bounds stay <= 32 so each call is fast.  The
+# unbounded-cap hang (`verify --cap 100000` does not end in practical time) is
+# still open in ROADMAP item 4 and is not covered here.
+NUMBER = st.integers(-3, 32).map(str)
+STAGE = st.tuples(*[st.integers(0, 4)] * 3).map(lambda t: ",".join(map(str, t)))
+# Junk holds no decimal digits, so no junk token parses as a large number.
+JUNK = st.sampled_from(
+    ["", "-", "--", "-1", "x", "1,2", "1,0,2", "1,1,0,", "--bogus", "--json", "--json=1",
+     "--expand", "--cap", "--cap=4", "--stage", "--stage=1,1,0", "--check", "all", "steenrod",
+     *COMMANDS]
+) | st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4)
+POSITIONALS = {
+    "decompose": [NUMBER],
+    "recipe": [NUMBER],
+    "table": [NUMBER],
+    "series": [st.sampled_from(["homotopy", "homology", "steenrod"])],
+    "verify": [],
+}
+OPTIONS = {
+    "decompose": [],
+    "recipe": [("--expand",)],
+    "table": [],
+    "series": [("--stage", STAGE), ("--cap", NUMBER)],
+    "verify": [
+        ("--check", st.sampled_from(["all", "bijection", "product", "quotients", "simple-system"])),
+        ("--cap", NUMBER),
+    ],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, *(draw(s) for s in POSITIONALS[command])]
+    for flag, *value in draw(st.permutations([*OPTIONS[command], ("--json",)])):
+        if draw(st.booleans()):
+            argv += [flag, *(draw(v) for v in value)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at, junk = draw(st.sampled_from(range(len(argv) + 1))), draw(JUNK)
+        if at < len(argv) and draw(st.booleans()):
+            argv[at] = junk
+        else:
+            argv.insert(at, junk)
+    return argv
+
+
+@settings(max_examples=300)
+@given(argv=cli_argv())
+def test_every_argv_ends_in_a_documented_exit(envelope_validator, argv):
+    assume(not any(token.startswith(("-h", "--h")) for token in argv))  # help exits 0, no envelope
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    # 70 (INTERNAL) would mean the fuzzer found a defect.
+    assert code in (0, 1, 2, 64), err.getvalue()
+    if "--json" in argv and out.getvalue():
+        envelope = json.loads(out.getvalue())
+        assert out.getvalue() == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        envelope_validator.validate(envelope)
+        assert envelope["command"] == next(token for token in argv if token in COMMANDS)
 
 
 # ---------------------------------------------------------------------------
