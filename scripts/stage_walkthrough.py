@@ -27,7 +27,7 @@ def main():
     previous = adams_homotopy_series(BASE, cap)
     print(f"base stage (1,0,0): homotopy series {list(previous.coeffs)}")
     print()
-    for entry in stages_up_to_degree(args.bound).entries:
+    for entry in stages_up_to_degree(args.bound):
         t = entry.triple
         current = adams_homotopy_series(t, cap)
         quotient = exact_div(current, previous)

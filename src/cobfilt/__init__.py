@@ -18,7 +18,6 @@ from .degrees import (
     BaseStageError,
     DegreeTooSmallError,
     ExcludedDegreeError,
-    GeneratorTable,
     StageTriple,
     TableEntry,
     compose,
@@ -32,7 +31,6 @@ from .manifolds import (
     RuleNotApplicableError,
     expand,
     indecomposable,
-    parse_term,
     plan,
     recipe_dimension,
 )

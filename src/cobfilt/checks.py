@@ -161,7 +161,7 @@ def verify_main_theorem(cap: int) -> CheckReport:
     via_product = series_of(AlgebraSpec.polynomial(*gens), cap)
     via_dp = partition_dp(gens, cap)
     stagewise = TruncatedSeries.unit(cap)
-    for entry in stages_up_to_degree(cap).entries:
+    for entry in stages_up_to_degree(cap):
         stagewise = mul(stagewise, series_of(AlgebraSpec.polynomial(entry.degree), cap))
     for name, candidate in (("product", via_product), ("stagewise", stagewise)):
         t = _first_mismatch(via_dp, candidate)
@@ -183,7 +183,7 @@ def verify_quotient_steps(cap: int) -> CheckReport:
     it, so a stage cannot agree with its predecessor by construction.
     """
     previous = adams_homotopy_series(BASE, cap)
-    for entry in stages_up_to_degree(cap).entries:
+    for entry in stages_up_to_degree(cap):
         current = adams_homotopy_series(entry.triple, cap)
         predicted = series_of(AlgebraSpec.polynomial(entry.degree), cap)
         try:

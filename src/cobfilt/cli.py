@@ -6,7 +6,9 @@ with sorted keys, and state flows only through flags.  Exit codes:
 0 success, 1 verification failure, 2 domain error, 64 usage error,
 70 internal error.  Every error code comes from the one table in
 `main`: EXCLUDED_DEGREE and COEFFICIENT_OVERFLOW (2), MISSING_STAGE
-(64), and INTERNAL (70, with the traceback on stderr).
+and USAGE (64), and INTERNAL (70, with the traceback on stderr).  A
+usage error prints usage on stderr, or, when the argv starts with a
+command and holds --json, a USAGE envelope with empty parameters.
 """
 
 from __future__ import annotations
@@ -39,7 +41,16 @@ DEFAULT_CAP = 64
 _Outcome = tuple[int, dict, list[str]]
 
 
-class _MissingStage(Exception):
+class _UsageError(Exception):
+    """A usage error: its message for the envelope, and `stderr`, the text mode's
+    whole report, worded as argparse words one."""
+
+    def __init__(self, message: str, stderr: str) -> None:
+        super().__init__(message)
+        self.stderr = stderr
+
+
+class _MissingStage(_UsageError):
     """series homotopy|homology was asked for without --stage."""
 
 
@@ -50,16 +61,16 @@ _ERRORS: tuple[tuple[type[Exception], int, str], ...] = (
     # TruncatedSeries refuses a coefficient beyond the u64 bound.
     (OverflowError, EXIT_DOMAIN_ERROR, "COEFFICIENT_OVERFLOW"),
     (_MissingStage, EXIT_USAGE, "MISSING_STAGE"),
+    (_UsageError, EXIT_USAGE, "USAGE"),
     (Exception, EXIT_INTERNAL, "INTERNAL"),
 )
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; the CLI contract reserves 2 for
-    # domain errors and uses 64 for usage problems.
+    # domain errors and uses 64 for usage problems, reported by main.
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise _UsageError(message, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def _nonneg_int(text: str) -> int:
@@ -148,10 +159,10 @@ def _cmd_table(ns: argparse.Namespace) -> _Outcome:
             "stage": _stage_json(entry.triple),
             "term": expand(plan(entry.degree)),
         }
-        for entry in table.entries
+        for entry in table
     ]
     lines = [f"{'degree':<8}{'stage':<12}recipe"]
-    for entry, row in zip(table.entries, rows):
+    for entry, row in zip(table, rows):
         lines.append(f"{entry.degree:<8}{_stage_text(entry.triple):<12}{row['term']}")
     lines.append(f"{len(rows)} generator(s) up to degree {ns.max_degree}")
     return EXIT_OK, {"max_degree": ns.max_degree, "rows": rows}, lines
@@ -163,7 +174,8 @@ def _cmd_series(ns: argparse.Namespace) -> _Outcome:
         label = f"steenrod cap {ns.cap}"
     else:
         if ns.stage is None:
-            raise _MissingStage(f"--stage is required for {ns.what}")
+            message = f"--stage is required for {ns.what}"
+            raise _MissingStage(message, f"{_PARSER.prog} series: error: {message}\n")
         fn = adams_homotopy_series if ns.what == "homotopy" else thom_homology_series
         series = fn(ns.stage, ns.cap)
         label = f"{ns.what} stage {_stage_text(ns.stage)} cap {ns.cap}"
@@ -234,18 +246,23 @@ _p.add_argument("--check", choices=["all", *_CHECK_RUNNERS], default="all")
 _p.add_argument("--cap", type=_verify_cap, default=DEFAULT_CAP)
 _p.add_argument("--json", action="store_true")
 _p.set_defaults(func=_cmd_verify)
+_COMMANDS = tuple(_sub.choices)
 del _sub, _p
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place that writes its output or picks its exit status."""
+    argv = sys.argv[1:] if argv is None else argv
+    # Until argv parses, only a leading command name with a literal --json asks for an envelope.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    as_json, parameters = command is not None and "--json" in argv, {}
     try:
         ns = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        command, as_json, parameters = ns.command, ns.json, _parameters(ns)
         status, result, lines = ns.func(ns)
         key, value = "result", result
+    except SystemExit as exc:  # argparse printed the help text
+        return int(exc.code or 0)
     except Exception as exc:
         # Commands print nothing themselves, so nothing reached stdout yet.
         status, code = next((s, c) for cls, s, c in _ERRORS if isinstance(exc, cls))
@@ -253,12 +270,12 @@ def main(argv: list[str] | None = None) -> int:
         lines = [f"error {code}: {exc}"]
         if status == EXIT_INTERNAL:
             traceback.print_exc()
-        elif status == EXIT_USAGE and not ns.json:  # worded as argparse words a usage error
-            print(f"{_PARSER.prog} {ns.command}: error: {exc}", file=sys.stderr)
+        elif status == EXIT_USAGE and not as_json:  # worded as argparse words a usage error
+            sys.stderr.write(exc.stderr)
             return status
-    if ns.json:
+    if as_json:
         status_word = "ok" if key == "result" else "error"
-        envelope = {"command": ns.command, "parameters": _parameters(ns), "status": status_word, key: value}
+        envelope = {"command": command, "parameters": parameters, "status": status_word, key: value}
         print(json.dumps(envelope, sort_keys=True, indent=2))
     else:
         print("\n".join(lines))

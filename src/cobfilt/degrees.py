@@ -13,7 +13,8 @@ carries no generator.  Decomposition reads the triple straight off two
 
 Triples are ordered lexicographically, n first, then j, then i.  Note
 that this is not the degree order: the stage of degree 11 precedes the
-stage of degree 6.
+stage of degree 6.  The stage table up to a degree bound is a plain
+tuple of (degree, triple) entries in that order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class ExcludedDegreeError(ValueError):
 
 
 class DegreeTooSmallError(ValueError):
-    """Generator degrees start at 2."""
+    """A negative degree.  Degrees start at 0; 0 and 1 are excluded, not too small."""
 
 
 class BaseStageError(ValueError):
@@ -84,7 +85,7 @@ def decompose(d: int) -> StageTriple:
     and the valuation and odd part of m + 1 determine j and n.
     """
     if d < 0:
-        raise DegreeTooSmallError(f"degree must be >= 2, got {d}")
+        raise DegreeTooSmallError(f"degree must be >= 0, got {d}")
     if is_excluded(d):
         raise ExcludedDegreeError(
             f"no generator in degree {d}: {d + 1} is a power of two"
@@ -102,41 +103,16 @@ class TableEntry(NamedTuple):
     triple: StageTriple
 
 
-@dataclass(frozen=True)
-class GeneratorTable:
-    """Stage entries (degree, triple) up to a degree bound, in stage order.
-
-    For a table built by stages_up_to_degree the degrees are exactly the
-    non-excluded integers in [2, bound], each once; that equality is a
-    theorem and is checked by the verification suite, not here.
-    """
-
-    bound: int
-    entries: tuple[TableEntry, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for prev, cur in zip(self.entries, self.entries[1:]):
-            if not prev.triple < cur.triple:
-                raise ValueError("table entries must be strictly sorted by triple")
-        degrees = [e.degree for e in self.entries]
-        if len(set(degrees)) != len(degrees):
-            raise ValueError("table entries must have distinct degrees")
-
-    def degrees(self) -> list[int]:
-        return [e.degree for e in self.entries]
-
-    def triples(self) -> list[StageTriple]:
-        return [e.triple for e in self.entries]
-
-
-def stages_up_to_degree(bound: int) -> GeneratorTable:
-    """All generator-bearing stages with degree <= bound, in stage order.
+def stages_up_to_degree(bound: int) -> tuple[TableEntry, ...]:
+    """All generator-bearing stages with degree <= bound, as (degree,
+    triple) entries in stage order.
 
     The loop bounds follow the degree formula: stage n starts at degree
     4n - 4, the (n, j) family starts at (4n - 2) 2^j - 2, and i grows
     until the degree leaves the window.  A bound below 2 gives an empty
-    table.
+    table.  The degrees are exactly the non-excluded integers in
+    [2, bound], each once; that equality is a theorem and is checked by
+    the verification suite, not here.
     """
     entries: list[TableEntry] = []
     n = 1
@@ -150,4 +126,4 @@ def stages_up_to_degree(bound: int) -> GeneratorTable:
                 i += 1
             j += 1
         n += 1
-    return GeneratorTable(bound, tuple(entries))
+    return tuple(entries)

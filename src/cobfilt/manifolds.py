@@ -17,14 +17,15 @@ unconditionally, and cup-2 preserves it on even-dimensional inputs.
 The cup-2-then-cup-1 order keeps every cup-2 input even, which is why
 plan output always admits a full justification chain.
 
-Recipes are symbolic terms only; nothing here builds an actual cell or
-simplicial model.
+A recipe stores its base dimension and its step values, 1 or 2, in the
+order they apply; the step counts and intermediate dimensions are read
+off the steps.  Recipes are symbolic terms only; nothing here builds an
+actual cell or simplicial model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .degrees import decompose
 
@@ -35,79 +36,41 @@ class RuleNotApplicableError(ValueError):
 
 @dataclass(frozen=True)
 class CupRecipe:
-    """A base projective-space dimension plus cup-2 and cup-1 step counts.
+    """A base projective-space dimension and the cup steps applied to it.
 
-    intermediate_dims records the dimension after each step.  Left
-    unset, it is filled with the canonical order, all cup-2 steps first;
-    passing it explicitly permits hand-built recipes in other step
-    orders, which the indecomposability checker then vets.
+    steps holds the cup value of each step, 1 or 2, in the order the
+    steps are applied.  plan puts every cup-2 step first; other orders
+    are allowed for hand-built recipes, which the indecomposability
+    checker then vets.
     """
 
     base_dim: int
-    cup2_count: int = 0
-    cup1_count: int = 0
-    intermediate_dims: tuple[int, ...] | None = None
+    steps: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.base_dim < 2 or self.base_dim % 2:
             raise ValueError(f"base must be a positive even dimension, got {self.base_dim}")
-        if self.cup2_count < 0 or self.cup1_count < 0:
-            raise ValueError("step counts must be non-negative")
-        if self.intermediate_dims is None:
-            dims = []
-            d = self.base_dim
-            for _ in range(self.cup2_count):
-                d = 2 * d + 2
-                dims.append(d)
-            for _ in range(self.cup1_count):
-                d = 2 * d + 1
-                dims.append(d)
-            object.__setattr__(self, "intermediate_dims", tuple(dims))
-            return
-        dims = tuple(self.intermediate_dims)
-        object.__setattr__(self, "intermediate_dims", dims)
-        seen2 = seen1 = 0
-        d = self.base_dim
-        for nxt in dims:
-            if nxt == 2 * d + 2:
-                seen2 += 1
-            elif nxt == 2 * d + 1:
-                seen1 += 1
-            else:
-                raise ValueError(f"{d} -> {nxt} is neither a cup-1 nor a cup-2 step")
-            d = nxt
-        if (seen2, seen1) != (self.cup2_count, self.cup1_count):
-            raise ValueError(
-                f"step counts ({self.cup2_count}, {self.cup1_count}) do not match "
-                f"the recorded dimensions"
-            )
-
-    @classmethod
-    def from_steps(cls, base_dim: int, steps: Sequence[int]) -> CupRecipe:
-        """Build a recipe from an explicit step order; entries are 1 or 2."""
-        if any(m not in (1, 2) for m in steps):
-            raise ValueError("steps must be cup-1 or cup-2")
-        dims = []
-        d = base_dim
-        for m in steps:
-            d = 2 * d + m
-            dims.append(d)
-        return cls(
-            base_dim,
-            cup2_count=sum(1 for m in steps if m == 2),
-            cup1_count=sum(1 for m in steps if m == 1),
-            intermediate_dims=tuple(dims),
-        )
+        object.__setattr__(self, "steps", tuple(self.steps))
+        if any(m not in (1, 2) for m in self.steps):
+            raise ValueError(f"steps must be cup-1 or cup-2, got {self.steps}")
 
     @property
-    def steps(self) -> tuple[int, ...]:
-        """Cup values in application order, read off the recorded dimensions."""
-        out = []
+    def cup2_count(self) -> int:
+        return self.steps.count(2)
+
+    @property
+    def cup1_count(self) -> int:
+        return self.steps.count(1)
+
+    @property
+    def intermediate_dims(self) -> tuple[int, ...]:
+        """The dimension after each step: cup-m takes d to 2d + m."""
+        dims = []
         d = self.base_dim
-        for nxt in self.intermediate_dims:
-            out.append(2 if nxt == 2 * d + 2 else 1)
-            d = nxt
-        return tuple(out)
+        for m in self.steps:
+            d = 2 * d + m
+            dims.append(d)
+        return tuple(dims)
 
 
 @dataclass(frozen=True)
@@ -131,15 +94,13 @@ def plan(d: int) -> CupRecipe:
     """
     t = decompose(d)
     if t.n == 1:
-        return CupRecipe(2, cup2_count=t.j - 1, cup1_count=t.i)
-    return CupRecipe(4 * (t.n - 1), cup2_count=t.j, cup1_count=t.i)
+        return CupRecipe(2, (2,) * (t.j - 1) + (1,) * t.i)
+    return CupRecipe(4 * (t.n - 1), (2,) * t.j + (1,) * t.i)
 
 
 def recipe_dimension(r: CupRecipe) -> int:
     """Dimension of the manifold the recipe constructs."""
-    if r.intermediate_dims:
-        return r.intermediate_dims[-1]
-    return r.base_dim
+    return (r.base_dim, *r.intermediate_dims)[-1]
 
 
 def expand(r: CupRecipe) -> str:
@@ -152,26 +113,6 @@ def expand(r: CupRecipe) -> str:
     for m in r.steps:
         term = f"P({m},{term})"
     return term
-
-
-def parse_term(text: str) -> CupRecipe:
-    """Inverse of expand on the term grammar RP^k | P(1,term) | P(2,term)."""
-    wrappers = []
-    rest = text
-    while rest.startswith("P("):
-        if len(rest) < 5 or rest[3] != "," or not rest.endswith(")"):
-            raise ValueError(f"malformed term: {text!r}")
-        m = rest[2]
-        if m not in "12":
-            raise ValueError(f"malformed term: {text!r}")
-        wrappers.append(int(m))
-        rest = rest[4:-1]
-    if not rest.startswith("RP^"):
-        raise ValueError(f"malformed term: {text!r}")
-    base = rest[3:]
-    if not base.isdigit() or (len(base) > 1 and base[0] == "0"):
-        raise ValueError(f"malformed term: {text!r}")
-    return CupRecipe.from_steps(int(base), list(reversed(wrappers)))
 
 
 def indecomposable(r: CupRecipe) -> tuple[Justification, ...]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .degrees import StageTriple, stages_up_to_degree
+from .degrees import StageTriple, TableEntry, stages_up_to_degree
 from .series import AlgebraSpec, TruncatedSeries, div_polynomial, mul_polynomial, series_of
 
 
@@ -91,14 +91,19 @@ def milnor_monomials(t: int) -> list[MilnorMonomial]:
     return results
 
 
+@lru_cache(maxsize=None)
+def _stage_table(bound: int) -> tuple[TableEntry, ...]:
+    # One build per bound: a verify pass asks for the same table at every stage.
+    return stages_up_to_degree(bound)
+
+
 def stage_generator_degrees(t: StageTriple, bound: int) -> list[int]:
     """Degrees of all generators present at stage t, capped at bound.
 
     Listed in stage order, so the list for a later stage extends the
     list for an earlier one.  The base stage contributes nothing.
     """
-    table = stages_up_to_degree(bound)
-    return [entry.degree for entry in table.entries if entry.triple <= t]
+    return [entry.degree for entry in _stage_table(bound) if entry.triple <= t]
 
 
 def thom_homology_series(t: StageTriple, cap: int) -> TruncatedSeries:

@@ -81,7 +81,7 @@ def test_criterion_3_stage_quotients():
     with criterion("3 (stage quotients, cap 64)"):
         cap = 64
         previous = adams_homotopy_series(BASE, cap)
-        entries = stages_up_to_degree(cap).entries
+        entries = stages_up_to_degree(cap)
         first = exact_div(adams_homotopy_series(entries[0].triple, cap), previous)
         assert first.coeffs == series_of(AlgebraSpec.polynomial(2), cap).coeffs
         for entry in entries:
@@ -97,7 +97,7 @@ def test_criterion_4_adams_collapse_divisibility():
     with criterion("4 (Adams collapse, cap 48)"):
         cap = 48
         steenrod = steenrod_series(cap)
-        for entry in stages_up_to_degree(cap).entries:
+        for entry in stages_up_to_degree(cap):
             homology = thom_homology_series(entry.triple, cap)
             quotient = exact_div(homology, steenrod)
             stage_poly = series_of(

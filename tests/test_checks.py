@@ -182,6 +182,29 @@ def test_quotient_steps_detect_a_dropped_stage_generator(monkeypatch):
     assert report.first_discrepancy == Discrepancy(6, 1, 0)
 
 
+# The stage table up to 16 runs 2, 5, 11, 6, ... in stage order.  The table
+# checks neither its order nor its distinct degrees when built; a table that
+# broke either would make the quotient check walk the stages wrongly.
+TABLE_DEFECTS = {
+    # 6 then arrives together with 13, so the quotient gains 1/(1 - t^6)
+    "dropped": (lambda table: table[:3] + table[4:], Discrepancy(6, 0, 1)),
+    # the second copy of stage 5 adds nothing, so its quotient is 1
+    "repeated": (lambda table: table[:2] + table[1:], Discrepancy(5, 1, 0)),
+    # stage 11 arrives before 5, bringing 5 with it
+    "swapped": (lambda table: table[:1] + (table[2], table[1]) + table[3:], Discrepancy(5, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("defect", TABLE_DEFECTS)
+def test_quotient_steps_detect_a_broken_stage_table(monkeypatch, defect):
+    mutate, witness = TABLE_DEFECTS[defect]
+    original = checks.stages_up_to_degree
+    monkeypatch.setattr(checks, "stages_up_to_degree", lambda bound: mutate(original(bound)))
+    report = verify_quotient_steps(16)
+    assert not report.passed
+    assert report.first_discrepancy == witness
+
+
 # ---------------------------------------------------------------------------
 # reports
 

@@ -172,6 +172,46 @@ def test_series_missing_stage_json_envelope(run_cli, envelope_validator, what):
     assert envelope["error"]["code"] == "MISSING_STAGE"
 
 
+USAGE_ERRORS = [
+    (("decompose", "abc"), "argument degree: not an integer: 'abc'"),
+    (("recipe",), "the following arguments are required: degree"),
+    (("table", "5", "extra"), "unrecognized arguments: extra"),
+    (("series", "cohomology"),
+     "argument what: invalid choice: 'cohomology' (choose from 'homotopy', 'homology', 'steenrod')"),
+    (("verify", "--cap", "1"), "argument --cap: verification cap must be >= 2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_json_envelope(run_cli, envelope_validator, argv, message):
+    code, out, err = run_cli(*argv, "--json")
+    assert (code, err) == (64, "")
+    envelope = json.loads(out)
+    envelope_validator.validate(envelope)
+    assert envelope == {
+        "command": argv[0],
+        "parameters": {},
+        "status": "error",
+        "error": {"code": "USAGE", "message": message},
+    }
+
+
+def test_usage_error_text_goes_to_stderr(run_cli):
+    assert run_cli("decompose", "abc") == (
+        64, "",
+        "usage: cobfilt decompose [-h] [--json] degree\n"
+        "cobfilt decompose: error: argument degree: not an integer: 'abc'\n",
+    )
+    # no envelope unless the argv starts with a command: there is none to name
+    top_usage = "usage: cobfilt [-h] {decompose,recipe,table,series,verify} ...\n"
+    assert run_cli("--json") == (
+        64, "", top_usage + "cobfilt: error: the following arguments are required: command\n",
+    )
+    code, out, err = run_cli("bogus", "--json")
+    assert (code, out) == (64, "")
+    assert err.startswith(top_usage + "cobfilt: error: argument command: invalid choice: 'bogus'")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -405,11 +445,13 @@ def test_every_argv_ends_in_a_documented_exit(envelope_validator, argv):
         code = cli.main(argv)
     # 70 (INTERNAL) would mean the fuzzer found a defect.
     assert code in (0, 1, 2, 64), err.getvalue()
-    if "--json" in argv and out.getvalue():
+    # --json after a leading command always gets one envelope, a usage error too.
+    if "--json" in argv and (argv[0] in COMMANDS or out.getvalue()):
         envelope = json.loads(out.getvalue())
         assert out.getvalue() == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
         envelope_validator.validate(envelope)
         assert envelope["command"] == next(token for token in argv if token in COMMANDS)
+        assert err.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------

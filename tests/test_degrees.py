@@ -6,7 +6,6 @@ from cobfilt.degrees import (
     BaseStageError,
     DegreeTooSmallError,
     ExcludedDegreeError,
-    GeneratorTable,
     StageTriple,
     TableEntry,
     compose,
@@ -114,7 +113,7 @@ def test_decompose_never_yields_the_base_family():
 
 def test_compose_injective_up_to_ten_thousand():
     seen = {}
-    for entry in stages_up_to_degree(10**4).entries:
+    for entry in stages_up_to_degree(10**4):
         assert entry.degree not in seen
         seen[entry.degree] = entry.triple
 
@@ -138,7 +137,7 @@ def test_order_equal():
 
 
 def test_base_precedes_everything():
-    for entry in stages_up_to_degree(64).entries:
+    for entry in stages_up_to_degree(64):
         assert BASE < entry.triple
 
 
@@ -178,47 +177,33 @@ def test_negative_parts_rejected():
 
 
 def test_stage_table_bound_six():
-    table = stages_up_to_degree(6)
-    assert table.degrees() == [2, 5, 6, 4]
-    assert table.triples() == [
-        StageTriple(1, 1, 0),
-        StageTriple(1, 1, 1),
-        StageTriple(1, 2, 0),
-        StageTriple(2, 0, 0),
-    ]
+    assert stages_up_to_degree(6) == (
+        TableEntry(2, StageTriple(1, 1, 0)),
+        TableEntry(5, StageTriple(1, 1, 1)),
+        TableEntry(6, StageTriple(1, 2, 0)),
+        TableEntry(4, StageTriple(2, 0, 0)),
+    )
 
 
 def test_stage_table_bound_two():
-    assert stages_up_to_degree(2).entries == (TableEntry(2, StageTriple(1, 1, 0)),)
+    assert stages_up_to_degree(2) == (TableEntry(2, StageTriple(1, 1, 0)),)
 
 
 def test_stage_table_bound_one_is_empty():
-    assert stages_up_to_degree(1).entries == ()
+    assert stages_up_to_degree(1) == ()
 
 
 @given(st.integers(0, 300))
 def test_stage_table_degrees_are_exactly_the_non_excluded_window(bound):
     table = stages_up_to_degree(bound)
-    assert sorted(table.degrees()) == [
+    assert sorted(entry.degree for entry in table) == [
         d for d in range(2, bound + 1) if not is_excluded(d)
     ]
-    for entry in table.entries:
+    for entry in table:
         assert compose(entry.triple) == entry.degree
 
 
 def test_stage_table_is_sorted_by_triple():
-    triples = stages_up_to_degree(200).triples()
+    triples = [entry.triple for entry in stages_up_to_degree(200)]
     assert triples == sorted(triples)
-
-
-def test_generator_table_rejects_unsorted_entries():
-    good = stages_up_to_degree(6)
-    with pytest.raises(ValueError, match="sorted"):
-        GeneratorTable(6, tuple(reversed(good.entries)))
-
-
-def test_generator_table_rejects_duplicate_degrees():
-    entry = TableEntry(2, StageTriple(1, 1, 0))
-    fake = TableEntry(2, StageTriple(2, 0, 0))
-    with pytest.raises(ValueError, match="distinct"):
-        GeneratorTable(6, (entry, fake))
+    assert len(set(triples)) == len(triples)

@@ -28,7 +28,7 @@ def test_stage_walkthrough_confirms_every_quotient():
     proc = run_script("stage_walkthrough.py", "--bound", "24")
     assert proc.returncode == 0, proc.stderr
     assert "MISMATCH" not in proc.stdout
-    assert proc.stdout.count("[ok]") == len(stages_up_to_degree(24).entries)
+    assert proc.stdout.count("[ok]") == len(stages_up_to_degree(24))
 
 
 def test_steenrod_dimensions_agree_by_both_routes():

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cobfilt.checks import partition_dp
+import cobfilt.spaces as spaces
+from cobfilt.checks import partition_dp, verify_quotient_steps
 from cobfilt.degrees import BASE, StageTriple, stages_up_to_degree
 from cobfilt.series import AlgebraSpec, exact_div, mul, series_of
 from cobfilt.spaces import (
@@ -76,9 +77,24 @@ def test_stage_degrees_listed_in_stage_order():
 
 def test_stage_degrees_monotone_under_stage_order():
     table = stages_up_to_degree(40)
-    lists = [stage_generator_degrees(t, 40) for t in [BASE] + table.triples()]
+    lists = [stage_generator_degrees(t, 40) for t in [BASE] + [e.triple for e in table]]
     for earlier, later in zip(lists, lists[1:]):
         assert later[: len(earlier)] == earlier
+
+
+def test_stage_table_is_built_once_per_bound(monkeypatch):
+    # every stage of the quotient check asks spaces for the same table
+    builds = []
+
+    def counted(bound):
+        builds.append(bound)
+        return stages_up_to_degree(bound)
+
+    spaces._stage_table.cache_clear()
+    monkeypatch.setattr(spaces, "stages_up_to_degree", counted)
+    assert verify_quotient_steps(32).passed
+    assert builds == [32]
+    spaces._stage_table.cache_clear()
 
 
 def test_thom_series_of_base_is_dual_steenrod():
@@ -93,7 +109,7 @@ def test_thom_series_first_stage():
 def test_thom_series_dominates_steenrod():
     cap = 24
     A = steenrod_series(cap)
-    for entry in stages_up_to_degree(cap).entries:
+    for entry in stages_up_to_degree(cap):
         th = thom_homology_series(entry.triple, cap)
         assert all(th[t] >= A[t] for t in range(cap + 1))
 
@@ -110,14 +126,14 @@ def test_homotopy_series_of_base_is_unit():
 def test_homotopy_times_steenrod_recovers_thom_homology():
     cap = 24
     A = steenrod_series(cap)
-    for entry in stages_up_to_degree(cap).entries:
+    for entry in stages_up_to_degree(cap):
         q = adams_homotopy_series(entry.triple, cap)
         assert mul(q, A).coeffs == thom_homology_series(entry.triple, cap).coeffs
 
 
 def test_homotopy_series_is_stage_polynomial_algebra():
     cap = 24
-    for entry in stages_up_to_degree(cap).entries:
+    for entry in stages_up_to_degree(cap):
         expected = series_of(
             AlgebraSpec.polynomial(*stage_generator_degrees(entry.triple, cap)), cap
         )
@@ -127,7 +143,7 @@ def test_homotopy_series_is_stage_polynomial_algebra():
 def test_consecutive_stage_quotients_add_one_polynomial_generator():
     cap = 24
     previous = adams_homotopy_series(BASE, cap)
-    for entry in stages_up_to_degree(cap).entries:
+    for entry in stages_up_to_degree(cap):
         current = adams_homotopy_series(entry.triple, cap)
         quotient = exact_div(current, previous)
         assert quotient.coeffs == series_of(AlgebraSpec.polynomial(entry.degree), cap).coeffs
@@ -138,7 +154,7 @@ def test_homotopy_series_equals_general_division_at_every_stage():
     # the stride division against exact_div, the route adams_homotopy_series used to take
     cap = 48
     A = steenrod_series(cap)
-    for t in [BASE] + stages_up_to_degree(cap).triples():
+    for t in [BASE] + [e.triple for e in stages_up_to_degree(cap)]:
         expected = exact_div(thom_homology_series(t, cap), A)
         assert adams_homotopy_series(t, cap).coeffs == expected.coeffs, t
 
@@ -146,7 +162,7 @@ def test_homotopy_series_equals_general_division_at_every_stage():
 def test_thom_series_fits_u64_through_cap_416():
     # (105,0,0) is the last stage at cap 416, so its Thom complex carries every generator
     last = StageTriple(105, 0, 0)
-    assert stages_up_to_degree(416).triples()[-1] == last
+    assert stages_up_to_degree(416)[-1].triple == last
     thom_homology_series(last, 416)
     with pytest.raises(OverflowError, match="degree 417 "):
         thom_homology_series(last, 417)
