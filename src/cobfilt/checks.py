@@ -2,14 +2,16 @@
 
 Every oracle here recomputes its target by a route the checked code
 never takes: exhaustive nested-loop enumeration of stage triples
-instead of valuation arithmetic, a stage-by-stage chain of general
+instead of valuation arithmetic, the Euler transform of the partition
+recurrence (partition_dp) and a stage-by-stage chain of general
 convolutions (mul) against the stride kernel of series_of, and general
-long division (exact_div) between stages built from scratch.  A pass
-means two independent computations agree coefficient by coefficient.
+synthetic division (exact_div) between stages built from scratch.  A
+pass means independent computations agree coefficient by coefficient.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -61,22 +63,30 @@ class CheckReport:
 
 
 def partition_dp(allowed: Iterable[int], cap: int) -> TruncatedSeries:
-    """Count multisets of allowed parts by total, part by part.
+    """Count multisets of allowed parts by total, with the Euler transform.
 
-    It never touches the series code beyond the final container, but it
-    runs the same running sum per part as series_of, so the product
-    check also compares both against a chain of general convolutions.
+    a_0 = 1 and n a_n = sum over k = 1..n of s(k) a_(n-k), where s(k) is
+    the sum of the allowed parts that divide k (Bernstein and Sloane,
+    "Some canonical sequences of integers", 1995).  No running sum per
+    part, so it shares no kernel with series_of; each division is exact,
+    and a remainder raises ArithmeticError.
     """
     parts = sorted(allowed)
     if any(p < 1 for p in parts):
         raise ValueError("parts must be >= 1")
     if len(set(parts)) != len(parts):
         raise ValueError("parts must be distinct")
-    ways = [0] * (cap + 1)
-    ways[0] = 1
+    divisor_sums = [0] * (cap + 1)
     for p in parts:
-        for total in range(p, cap + 1):
-            ways[total] += ways[total - p]
+        for k in range(p, cap + 1, p):
+            divisor_sums[k] += p
+    ways = [1]
+    for n in range(1, cap + 1):
+        total = sum(map(operator.mul, divisor_sums[1 : n + 1], reversed(ways)))
+        a_n, remainder = divmod(total, n)
+        if remainder:
+            raise ArithmeticError(f"Euler transform leaves remainder {remainder} in degree {n}")
+        ways.append(a_n)
     return TruncatedSeries(cap, tuple(ways))
 
 
@@ -142,6 +152,8 @@ def verify_bijection(bound: int) -> CheckReport:
 
 
 def _first_mismatch(expected: TruncatedSeries, actual: TruncatedSeries) -> int | None:
+    if expected.coeffs == actual.coeffs:
+        return None
     for t in range(expected.cap + 1):
         if expected.coeffs[t] != actual.coeffs[t]:
             return t
@@ -153,9 +165,9 @@ def verify_main_theorem(cap: int) -> CheckReport:
 
     The series of the polynomial algebra on all generator degrees, the
     partition-counting oracle on the same degree set, and the stage-by-
-    stage cumulative product in stage order.  The first two share the
-    running-sum algorithm; the stagewise route multiplies with the
-    general convolution mul, so it is the one on a different kernel.
+    stage cumulative product in stage order.  Each runs its own kernel:
+    running sums in series_of, the Euler transform in partition_dp, and
+    the general convolution mul for the stagewise route.
     """
     gens = [d for d in range(2, cap + 1) if not is_excluded(d)]
     via_product = series_of(AlgebraSpec.polynomial(*gens), cap)

@@ -4,17 +4,21 @@ models, and verification suite.
 Every command emits one output envelope, as aligned text or as JSON
 with sorted keys, and state flows only through flags.  Exit codes:
 0 success, 1 verification failure, 2 domain error, 64 usage error,
-70 internal error.  Every error code comes from the one table in
-`main`: EXCLUDED_DEGREE and COEFFICIENT_OVERFLOW (2), MISSING_STAGE
-and USAGE (64), and INTERNAL (70, with the traceback on stderr).  A
-usage error prints usage on stderr, or, when the argv starts with a
-command and holds --json, a USAGE envelope with empty parameters.
+70 internal error, 74 stdout closed before the output was written.
+Every error code comes from the one table in `main`: EXCLUDED_DEGREE
+and COEFFICIENT_OVERFLOW (2), MISSING_STAGE and USAGE (64), and
+INTERNAL (70, with the traceback on stderr).  A usage error prints
+usage on stderr, or, when the argv starts with a command and holds
+--json, a USAGE envelope with empty parameters.
+Options must be spelled out in full: no parser accepts a prefix such
+as --js, so a literal --json is the only way to ask for an envelope.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from typing import Any, Callable
@@ -34,6 +38,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_DOMAIN_ERROR = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+EXIT_IOERR = 74
 
 DEFAULT_CAP = 64
 
@@ -215,33 +220,33 @@ def _cmd_verify(ns: argparse.Namespace) -> _Outcome:
 
 
 # Built once: parse_args keeps no state on the parser between calls.
-_PARSER = _Parser(prog="cobfilt", description=__doc__)
+_PARSER = _Parser(prog="cobfilt", description=__doc__, allow_abbrev=False)
 _sub = _PARSER.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-_p = _sub.add_parser("decompose", help="degree to stage triple")
+_p = _sub.add_parser("decompose", help="degree to stage triple", allow_abbrev=False)
 _p.add_argument("degree", type=_nonneg_int)
 _p.add_argument("--json", action="store_true")
 _p.set_defaults(func=_cmd_decompose)
 
-_p = _sub.add_parser("recipe", help="cup-construction recipe for a degree")
+_p = _sub.add_parser("recipe", help="cup-construction recipe for a degree", allow_abbrev=False)
 _p.add_argument("degree", type=_nonneg_int)
 _p.add_argument("--expand", action="store_true", help="include the symbolic term")
 _p.add_argument("--json", action="store_true")
 _p.set_defaults(func=_cmd_recipe)
 
-_p = _sub.add_parser("table", help="generator table up to a degree")
+_p = _sub.add_parser("table", help="generator table up to a degree", allow_abbrev=False)
 _p.add_argument("max_degree", type=_nonneg_int)
 _p.add_argument("--json", action="store_true")
 _p.set_defaults(func=_cmd_table)
 
-_p = _sub.add_parser("series", help="dimension series of a stage")
+_p = _sub.add_parser("series", help="dimension series of a stage", allow_abbrev=False)
 _p.add_argument("what", choices=["homotopy", "homology", "steenrod"])
 _p.add_argument("--stage", type=_stage, help="stage triple n,j,i")
 _p.add_argument("--cap", type=_nonneg_int, default=DEFAULT_CAP)
 _p.add_argument("--json", action="store_true")
 _p.set_defaults(func=_cmd_series)
 
-_p = _sub.add_parser("verify", help="run the verification suite")
+_p = _sub.add_parser("verify", help="run the verification suite", allow_abbrev=False)
 _p.add_argument("--check", choices=["all", *_CHECK_RUNNERS], default="all")
 _p.add_argument("--cap", type=_verify_cap, default=DEFAULT_CAP)
 _p.add_argument("--json", action="store_true")
@@ -276,9 +281,16 @@ def main(argv: list[str] | None = None) -> int:
     if as_json:
         status_word = "ok" if key == "result" else "error"
         envelope = {"command": command, "parameters": parameters, "status": status_word, key: value}
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        text = json.dumps(envelope, sort_keys=True, indent=2)
     else:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away, as in `cobfilt table 10000 | head -1`
+        # Point stdout at devnull so the interpreter's flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IOERR
     return status
 
 

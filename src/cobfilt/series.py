@@ -11,10 +11,13 @@ per generator: multiplying by 1 / (1 - t^d) is a forward running sum
 with stride d (series_of, mul_polynomial), dividing by it is a backward
 difference with stride d (div_polynomial), and a height-1 factor
 1 + t^e is one descending pass (simple_system_series).  The general
-O(cap^2) kernels mul and exact_div stay as the independent routes of the
-checks: the product check multiplies its stagewise route with mul, and
-the quotient check divides each stage by the previous one with
-exact_div.
+kernels mul and exact_div stay as the independent routes of the checks:
+the product check multiplies its stagewise route with mul, and the
+quotient check divides each stage by the previous one with exact_div.
+They take arbitrary operands and share no code with the stride kernels;
+each makes one slice pass per nonzero coefficient (of the sparser
+operand for mul, of the quotient for exact_div), so their cost follows
+the nonzero terms, at most O(cap^2).
 
 Coefficients are plain Python integers validated against the unsigned
 64-bit bound at construction, so a count that outgrows the fixed-width
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 U64_MAX = 2**64 - 1
 
@@ -75,6 +79,9 @@ class TruncatedSeries:
             raise ValueError(
                 f"cap {self.cap} needs {self.cap + 1} coefficients, got {len(coeffs)}"
             )
+        # One C-level pass each; the per-degree loop below runs only to name a fault.
+        if set(map(type, coeffs)) <= {int} and min(coeffs) >= 0 and max(coeffs) <= U64_MAX:
+            return
         for t, c in enumerate(coeffs):
             if type(c) is not int:
                 raise ValueError(f"coefficient in degree {t} is not an integer: {c!r}")
@@ -93,43 +100,48 @@ class TruncatedSeries:
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Truncated convolution: the series of a tensor product of graded spaces."""
+    """Truncated convolution: the series of a tensor product of graded spaces.
+
+    The operand with more zero coefficients is the outer one, and each of
+    its nonzero coefficients adds a multiple of the other operand in one
+    slice pass, so the work follows the nonzero terms, not cap^2.
+    """
     if a.cap != b.cap:
         raise ValueError(f"cap mismatch: {a.cap} != {b.cap}")
     cap = a.cap
+    outer, inner = (b, a) if a.coeffs.count(0) < b.coeffs.count(0) else (a, b)
     out = [0] * (cap + 1)
-    for u, au in enumerate(a.coeffs):
-        if au == 0:
-            continue
-        bcoeffs = b.coeffs
-        for v in range(cap + 1 - u):
-            bv = bcoeffs[v]
-            if bv:
-                out[u + v] += au * bv
+    for u, c in enumerate(outer.coeffs):
+        if c:
+            terms = map(operator.mul, repeat(c), inner.coeffs[: cap + 1 - u])
+            out[u:] = map(operator.add, out[u:], terms)
     return TruncatedSeries(cap, tuple(out))
 
 
 def exact_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """The unique q with mul(q, b) = a, computed degree by degree.
+    """The unique q with mul(q, b) = a, by synthetic division.
 
-    Requires b[0] = 1.  Raises NotDivisibleError as soon as a quotient
-    coefficient would have to be negative, which is how a failed tensor
-    decomposition announces itself.
+    Requires b[0] = 1.  The working list starts as a; once the degrees
+    below t are settled, its degree-t entry is the quotient coefficient,
+    and a nonzero one subtracts its multiple of b from the degrees above
+    in one slice pass.  Raises NotDivisibleError at the lowest quotient
+    coefficient that would have to be negative, which is how a failed
+    tensor decomposition announces itself.
     """
     if a.cap != b.cap:
         raise ValueError(f"cap mismatch: {a.cap} != {b.cap}")
     if b.coeffs[0] != 1:
         raise ValueError("divisor must have constant coefficient 1")
     cap = a.cap
-    q: list[int] = []
+    q = list(a.coeffs)
+    tail = b.coeffs[1:]
     for t in range(cap + 1):
-        # a[t] minus b[u] q[t - u] for u = 1..t, q holding degrees 0..t-1
-        acc = a.coeffs[t] - sum(map(operator.mul, b.coeffs[1 : t + 1], reversed(q)))
-        if acc < 0:
-            raise NotDivisibleError(
-                f"quotient coefficient in degree {t} would be {acc}"
-            )
-        q.append(acc)
+        c = q[t]
+        if c < 0:
+            raise NotDivisibleError(f"quotient coefficient in degree {t} would be {c}")
+        if c:
+            terms = map(operator.mul, repeat(c), tail[: cap - t])
+            q[t + 1 :] = map(operator.sub, q[t + 1 :], terms)
     return TruncatedSeries(cap, tuple(q))
 
 
@@ -150,7 +162,9 @@ def mul_polynomial(a: TruncatedSeries, spec: AlgebraSpec) -> TruncatedSeries:
     return TruncatedSeries(a.cap, tuple(coeffs))
 
 
-def div_polynomial(a: TruncatedSeries, spec: AlgebraSpec) -> TruncatedSeries:
+def div_polynomial(
+    a: TruncatedSeries, spec: AlgebraSpec, *, times: AlgebraSpec = AlgebraSpec()
+) -> TruncatedSeries:
     """a divided by the Poincare series of spec, the same as
     exact_div(a, series_of(spec, a.cap)), errors included.
 
@@ -159,9 +173,14 @@ def div_polynomial(a: TruncatedSeries, spec: AlgebraSpec) -> TruncatedSeries:
     reads a coefficient not yet changed.  The quotient is unique, so a
     negative coefficient anywhere means a is not divisible; the lowest
     one is reported, as exact_div would.
+
+    With times, a is first multiplied by the Poincare series of times on
+    the same list, and only the quotient is validated: the product may
+    exceed 64 bits where the quotient does not.
     """
     cap = a.cap
     coeffs = list(a.coeffs)
+    _times_geometric(coeffs, times.generators_below(cap))
     for d in spec.generators_below(cap):
         for t in range(cap, d - 1, -1):
             coeffs[t] -= coeffs[t - d]

@@ -14,18 +14,21 @@ factor.
 
 Both series go through the stride kernels of cobfilt.series, O(cap) per
 generator: the Thom homology is the cached A_* series times one running
-sum per stage generator, and the homotopy series divides A_* back out by
-one backward difference per xi_k degree 2^k - 1.  That division is a
-real one: a homology series that A_* does not divide raises
-NotDivisibleError.  The Thom series is validated before the division,
-so the homotopy route overflows wherever the homology does, even where
-the quotient itself would fit in 64 bits.
+sum per stage generator, and the homotopy series runs those running sums
+and then divides A_* back out by one backward difference per xi_k degree
+2^k - 1, all on one list.  That division is a real one: a homology
+series that A_* does not divide raises NotDivisibleError.  Only the
+quotient is validated, so the homotopy route overflows only where the
+homotopy series itself exceeds 64 bits, while the Thom series of the
+same stage may overflow at a lower cap.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .degrees import StageTriple, TableEntry, stages_up_to_degree
 from .series import AlgebraSpec, TruncatedSeries, div_polynomial, mul_polynomial, series_of
@@ -103,7 +106,10 @@ def stage_generator_degrees(t: StageTriple, bound: int) -> list[int]:
     Listed in stage order, so the list for a later stage extends the
     list for an earlier one.  The base stage contributes nothing.
     """
-    return [entry.degree for entry in _stage_table(bound) if entry.triple <= t]
+    table = _stage_table(bound)
+    # The table is in stage order, so the stages up to t are a prefix of it.
+    present = bisect_right(table, t, key=attrgetter("triple"))
+    return [entry.degree for entry in table[:present]]
 
 
 def thom_homology_series(t: StageTriple, cap: int) -> TruncatedSeries:
@@ -121,8 +127,11 @@ def adams_homotopy_series(t: StageTriple, cap: int) -> TruncatedSeries:
 
     The Adams spectral sequence for a complex whose homology is
     A_* (x) V collapses onto s = 0, so the homotopy count is the exact
-    quotient of the homology series by the A_* series.  The division
-    failing would falsify the model, hence the propagated
-    NotDivisibleError instead of a fallback.
+    quotient of the homology series by the A_* series.  The homology is
+    built and divided on one list and never validated itself, so only
+    the quotient must fit in 64 bits.  The division failing would
+    falsify the model, hence the propagated NotDivisibleError instead
+    of a fallback.
     """
-    return div_polynomial(thom_homology_series(t, cap), _steenrod_spec(cap))
+    loop_factor = AlgebraSpec.polynomial(*stage_generator_degrees(t, cap))
+    return div_polynomial(steenrod_series(cap), _steenrod_spec(cap), times=loop_factor)

@@ -53,6 +53,16 @@ def test_partition_dp_rejects_bad_parts():
         partition_dp([2, 2], 4)
 
 
+def test_partition_dp_counts_partitions():
+    # every part allowed: the partition numbers p(n), OEIS A000041
+    assert partition_dp(range(1, 11), 10).coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
+    assert partition_dp(range(1, 101), 100)[100] == 190_569_292
+    # p(417) is the first partition number beyond 64 bits
+    partition_dp(range(1, 417), 416)
+    with pytest.raises(OverflowError, match="degree 417 "):
+        partition_dp(range(1, 418), 417)
+
+
 @given(st.sets(st.integers(1, 9), max_size=4), st.integers(0, 14))
 def test_partition_dp_matches_explicit_enumeration(parts, cap):
     series = partition_dp(parts, cap)
@@ -155,8 +165,7 @@ def test_main_theorem_detects_a_wrong_product_coefficient(monkeypatch):
 
 
 def test_main_theorem_detects_a_wrong_stagewise_convolution(monkeypatch):
-    # series_of and partition_dp share the running-sum algorithm, so only the
-    # stagewise route runs a different kernel; it must be able to fail on its own
+    # the stagewise route must be able to fail on its own, with the other two agreeing
     def corrupted(a, b):
         coeffs = list(mul(a, b).coeffs)
         coeffs[5] += 1

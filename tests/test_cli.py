@@ -212,6 +212,15 @@ def test_usage_error_text_goes_to_stderr(run_cli):
     assert err.startswith(top_usage + "cobfilt: error: argument command: invalid choice: 'bogus'")
 
 
+def test_option_prefixes_are_usage_errors(run_cli):
+    # a prefix of --json is never taken for it, so a valid and an invalid
+    # degree get the same report: usage text, no envelope
+    for argv in (("decompose", "5", "--js"), ("decompose", "abc", "--js"), ("verify", "--ch", "all")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage: cobfilt")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -251,12 +260,12 @@ def _overflow(degree):
 
 # Every domain error exits 2 with its code and message.  The last stage at
 # cap 417 carries every generator and its homology needs more than 64 bits in
-# degree 417; the ring series itself does in degree 540.
+# degree 417; its homotopy series, like the ring series, only in degree 540.
 DOMAIN_ERRORS = [
     pytest.param(argv, code, message, id=" ".join(argv))
     for argv, (code, message) in (
         (("series", "homology", "--stage", "105,0,0", "--cap", "417"), _overflow(417)),
-        (("series", "homotopy", "--stage", "105,0,0", "--cap", "417"), _overflow(417)),
+        (("series", "homotopy", "--stage", "136,0,0", "--cap", "540"), _overflow(540)),
         (("verify", "--check", "all", "--cap", "560"), _overflow(540)),
         (("decompose", "7"), ("EXCLUDED_DEGREE", "no generator in degree 7: 8 is a power of two")),
         (("recipe", "3"), ("EXCLUDED_DEGREE", "no generator in degree 3: 4 is a power of two")),
@@ -474,3 +483,17 @@ def test_subprocess_exit_codes():
     assert run_subprocess("verify", "--check", "bijection", "--cap", "8").returncode == 0
     overflow = run_subprocess("series", "homology", "--stage", "105,0,0", "--cap", "417")
     assert (overflow.returncode, overflow.stderr) == (2, "")
+
+
+def test_closed_stdout_exits_74_without_a_traceback():
+    # as in `cobfilt table 10000 | head -1`: the output outgrows any pipe
+    # buffer, so writing it must meet the closed read end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cobfilt", "table", "10000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (74, b"")

@@ -215,6 +215,40 @@ def test_mul_agrees_with_brute_convolution(pair):
     assert mul(a, b).coeffs == brute_convolution(a, b)
 
 
+@st.composite
+def sparse_series(draw, cap, max_terms=3, max_coeff=1000):
+    # a few nonzero terms in random degrees, the rest zero
+    coeffs = [0] * (cap + 1)
+    for t in draw(st.sets(st.integers(0, cap), max_size=max_terms)):
+        coeffs[t] = draw(st.integers(1, max_coeff))
+    return TruncatedSeries(cap, tuple(coeffs))
+
+
+def dense_series(cap, max_coeff=1000):
+    return st.lists(st.integers(1, max_coeff), min_size=cap + 1, max_size=cap + 1).map(
+        lambda coeffs: TruncatedSeries(cap, tuple(coeffs))
+    )
+
+
+def mixed_series(cap, max_coeff=1000):
+    # zero or not at random in every degree
+    coefficient = st.one_of(st.just(0), st.integers(1, max_coeff))
+    return st.lists(coefficient, min_size=cap + 1, max_size=cap + 1).map(
+        lambda coeffs: TruncatedSeries(cap, tuple(coeffs))
+    )
+
+
+SPARSITIES = {"sparse": sparse_series, "dense": dense_series, "mixed": mixed_series}
+
+
+@pytest.mark.parametrize("left,right", [("sparse", "dense"), ("dense", "sparse"), ("mixed", "mixed")])
+@given(cap=st.integers(0, 24), data=st.data())
+def test_mul_agrees_with_brute_convolution_at_every_sparsity(left, right, cap, data):
+    a = data.draw(SPARSITIES[left](cap))
+    b = data.draw(SPARSITIES[right](cap))
+    assert mul(a, b).coeffs == brute_convolution(a, b)
+
+
 # ---------------------------------------------------------------------------
 # exact_div
 
@@ -248,6 +282,46 @@ def test_exact_div_round_trip(pair):
     a, b = pair
     b = TruncatedSeries(b.cap, (1,) + b.coeffs[1:])
     assert exact_div(mul(a, b), b).coeffs == a.coeffs
+
+
+def long_division(a, b):
+    # the degree-by-degree formula: a[t] minus b[u] q[t - u] for u = 1..t
+    q = []
+    for t in range(a.cap + 1):
+        acc = a.coeffs[t] - sum(b.coeffs[u] * q[t - u] for u in range(1, t + 1))
+        if acc < 0:
+            raise NotDivisibleError(f"quotient coefficient in degree {t} would be {acc}")
+        q.append(acc)
+    return tuple(q)
+
+
+def unit_constant(series):
+    return TruncatedSeries(series.cap, (1,) + series.coeffs[1:])
+
+
+@pytest.mark.parametrize("quotient,divisor", [("sparse", "dense"), ("dense", "sparse"), ("mixed", "mixed")])
+@given(cap=st.integers(0, 20), data=st.data())
+def test_exact_div_agrees_with_long_division_on_divisible_pairs(quotient, divisor, cap, data):
+    q = data.draw(SPARSITIES[quotient](cap, max_coeff=50))
+    b = unit_constant(data.draw(SPARSITIES[divisor](cap, max_coeff=50)))
+    a = mul(q, b)
+    assert exact_div(a, b).coeffs == long_division(a, b) == q.coeffs
+
+
+@pytest.mark.parametrize("dividend,divisor", [("sparse", "dense"), ("dense", "sparse"), ("mixed", "mixed")])
+@given(cap=st.integers(0, 20), data=st.data())
+def test_exact_div_agrees_with_long_division_on_any_pair(dividend, divisor, cap, data):
+    # mostly not divisible: both must refuse in the same degree with the same message
+    a = data.draw(SPARSITIES[dividend](cap, max_coeff=50))
+    b = unit_constant(data.draw(SPARSITIES[divisor](cap, max_coeff=50)))
+    try:
+        expected = long_division(a, b)
+    except NotDivisibleError as exc:
+        with pytest.raises(NotDivisibleError) as raised:
+            exact_div(a, b)
+        assert str(raised.value) == str(exc)
+    else:
+        assert exact_div(a, b).coeffs == expected
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +387,31 @@ def test_non_integer_coefficient_rejected():
         TruncatedSeries(1, (True, False))
     with pytest.raises(ValueError, match="not an integer"):
         TruncatedSeries(1, (1, 1.0))
+
+
+# Each fault, and the error the container must raise for it in degree t.
+FAULTS = {
+    "bool": (True, ValueError, "coefficient in degree {t} is not an integer: True"),
+    "float": (2.0, ValueError, "coefficient in degree {t} is not an integer: 2.0"),
+    "negative": (-3, ValueError, "negative coefficient -3 in degree {t}"),
+    "too large": (U64_MAX + 1, OverflowError, "coefficient in degree {t} exceeds the 64-bit bound"),
+}
+
+
+@given(cap=st.integers(0, 30), data=st.data())
+def test_series_with_several_faults_names_the_lowest(cap, data):
+    coeffs = data.draw(coefficient_lists(cap, max_coeff=U64_MAX))
+    faults = data.draw(
+        st.dictionaries(st.integers(0, cap), st.sampled_from(sorted(FAULTS)), min_size=1, max_size=4)
+    )
+    for t, kind in faults.items():
+        coeffs[t] = FAULTS[kind][0]
+    lowest = min(faults)
+    _, error, message = FAULTS[faults[lowest]]
+    with pytest.raises(error) as raised:
+        TruncatedSeries(cap, tuple(coeffs))
+    assert type(raised.value) is error
+    assert str(raised.value) == message.format(t=lowest)
 
 
 def test_generator_degree_must_be_positive():

@@ -82,6 +82,20 @@ def test_stage_degrees_monotone_under_stage_order():
         assert later[: len(earlier)] == earlier
 
 
+@st.composite
+def stage_triples(draw):
+    # most have a degree above the drawn bound, so they are not in its table
+    n = draw(st.integers(1, 40))
+    j = draw(st.integers(1 if n == 1 else 0, 8))
+    return StageTriple(n, j, draw(st.integers(0, 8)))
+
+
+@given(stage_triples(), st.integers(0, 200))
+def test_stage_degrees_equal_the_plain_filter(t, bound):
+    expected = [entry.degree for entry in stages_up_to_degree(bound) if entry.triple <= t]
+    assert stage_generator_degrees(t, bound) == expected
+
+
 def test_stage_table_is_built_once_per_bound(monkeypatch):
     # every stage of the quotient check asks spaces for the same table
     builds = []
@@ -168,9 +182,15 @@ def test_thom_series_fits_u64_through_cap_416():
         thom_homology_series(last, 417)
 
 
-def test_adams_route_overflows_on_its_thom_intermediate():
-    # the homotopy series at cap 417 fits in 64 bits, the homology it is divided out of does not
-    last = StageTriple(105, 0, 0)
-    series_of(AlgebraSpec.polynomial(*stage_generator_degrees(last, 417)), 417)
-    with pytest.raises(OverflowError, match="degree 417 "):
-        adams_homotopy_series(last, 417)
+def test_adams_route_fits_u64_through_cap_539():
+    # the route never validates its Thom intermediate: at cap 417 that overflows,
+    # the homotopy series does not; the homotopy series itself first does at 540
+    assert adams_homotopy_series(StageTriple(105, 0, 0), 417).coeffs == series_of(
+        AlgebraSpec.polynomial(*stage_generator_degrees(StageTriple(105, 0, 0), 417)), 417
+    ).coeffs
+    # (136,0,0) is the last stage at cap 540, so it carries every generator
+    last = StageTriple(136, 0, 0)
+    assert stages_up_to_degree(540)[-1].triple == last
+    adams_homotopy_series(last, 539)
+    with pytest.raises(OverflowError, match="degree 540 "):
+        adams_homotopy_series(last, 540)
