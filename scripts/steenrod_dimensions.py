@@ -9,12 +9,12 @@ import argparse
 from cobfilt.spaces import milnor_monomials, steenrod_series
 
 
-def monomial_label(m):
-    if not m.exponents:
+def monomial_label(exponents):
+    if not exponents:
         return "1"
     return " ".join(
         f"xi{k}^{e}" if e > 1 else f"xi{k}"
-        for k, e in enumerate(m.exponents, start=1)
+        for k, e in enumerate(exponents, start=1)
         if e
     )
 

@@ -39,15 +39,13 @@ from .series import (
     AlgebraSpec,
     NotDivisibleError,
     TruncatedSeries,
-    div_polynomial,
     exact_div,
     mul,
-    mul_polynomial,
+    ratio_polynomial,
     series_of,
     simple_system_series,
 )
 from .spaces import (
-    MilnorMonomial,
     adams_homotopy_series,
     milnor_monomials,
     stage_generator_degrees,

@@ -69,6 +69,9 @@ _ERRORS: tuple[tuple[type[Exception], int, str], ...] = (
     (_UsageError, EXIT_USAGE, "USAGE"),
     (Exception, EXIT_INTERNAL, "INTERNAL"),
 )
+# The ring series, which the product check computes, fits in 64 bits through
+# this degree, so product and all are refused above it before any work.
+_RING_SERIES_MAX_CAP = 539
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,6 +201,9 @@ _CHECK_RUNNERS: dict[str, Callable[[int], Any]] = {
 
 def _cmd_verify(ns: argparse.Namespace) -> _Outcome:
     names = list(_CHECK_RUNNERS) if ns.check == "all" else [ns.check]
+    if "product" in names and ns.cap > _RING_SERIES_MAX_CAP:
+        degree = _RING_SERIES_MAX_CAP + 1
+        raise OverflowError(f"coefficient in degree {degree} exceeds the 64-bit bound")
     payload = []
     lines = []
     failures = 0

@@ -8,8 +8,9 @@ series by multiplying one factor 1 / (1 - t^d) per generator of degree d.
 
 Each such factor is a stride kernel on one list of coefficients, O(cap)
 per generator: multiplying by 1 / (1 - t^d) is a forward running sum
-with stride d (series_of, mul_polynomial), dividing by it is a backward
-difference with stride d (div_polynomial), and a height-1 factor
+with stride d (series_of), dividing by it is a backward difference with
+stride d, and ratio_polynomial runs both on one list, a times the
+series of one algebra over the series of another.  A height-1 factor
 1 + t^e is one descending pass (simple_system_series).  The general
 kernels mul and exact_div stay as the independent routes of the checks:
 the product check multiplies its stagewise route with mul, and the
@@ -22,8 +23,9 @@ the nonzero terms, at most O(cap^2).
 Coefficients are plain Python integers validated against the unsigned
 64-bit bound at construction, so a count that outgrows the fixed-width
 contract raises OverflowError instead of silently corrupting a table.
-The cap is an explicit argument everywhere; there is no global
-precision.
+A series is its coefficient tuple, and its cap is the top degree
+len(coeffs) - 1.  Every function that builds a series from nothing takes
+the cap as an explicit argument; there is no global precision.
 
 >>> series_of(AlgebraSpec.polynomial(2), cap=6).coeffs
 (1, 0, 1, 0, 1, 0, 1)
@@ -67,18 +69,13 @@ class AlgebraSpec:
 class TruncatedSeries:
     """Dimension counts up to and including degree cap; coeffs[t] is degree t."""
 
-    cap: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.cap < 0:
-            raise ValueError(f"cap must be >= 0, got {self.cap}")
         coeffs = tuple(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-        if len(coeffs) != self.cap + 1:
-            raise ValueError(
-                f"cap {self.cap} needs {self.cap + 1} coefficients, got {len(coeffs)}"
-            )
+        if not coeffs:
+            raise ValueError("a series needs its degree-0 coefficient, got none")
         # One C-level pass each; the per-degree loop below runs only to name a fault.
         if set(map(type, coeffs)) <= {int} and min(coeffs) >= 0 and max(coeffs) <= U64_MAX:
             return
@@ -90,13 +87,25 @@ class TruncatedSeries:
             if c > U64_MAX:
                 raise OverflowError(f"coefficient in degree {t} exceeds the 64-bit bound")
 
+    @property
+    def cap(self) -> int:
+        """The top degree counted."""
+        return len(self.coeffs) - 1
+
     @classmethod
     def unit(cls, cap: int) -> TruncatedSeries:
         """The series of the unit algebra: 1 in degree 0, nothing above."""
-        return cls(cap, (1,) + (0,) * cap)
+        return cls(_unit_list(cap))
 
     def __getitem__(self, t: int) -> int:
         return self.coeffs[t]
+
+
+def _unit_list(cap: int) -> list[int]:
+    # The unit series' coefficients, and the cap guard of every builder here.
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    return [1] + [0] * cap
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -115,7 +124,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         if c:
             terms = map(operator.mul, repeat(c), inner.coeffs[: cap + 1 - u])
             out[u:] = map(operator.add, out[u:], terms)
-    return TruncatedSeries(cap, tuple(out))
+    return TruncatedSeries(tuple(out))
 
 
 def exact_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -142,7 +151,7 @@ def exact_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         if c:
             terms = map(operator.mul, repeat(c), tail[: cap - t])
             q[t + 1 :] = map(operator.sub, q[t + 1 :], terms)
-    return TruncatedSeries(cap, tuple(q))
+    return TruncatedSeries(tuple(q))
 
 
 def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
@@ -150,44 +159,34 @@ def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
 
     Generators above the cap contribute the factor 1 and are skipped.
     """
-    coeffs = [1] + [0] * cap
+    coeffs = _unit_list(cap)
     _times_geometric(coeffs, spec.generators_below(cap))
-    return TruncatedSeries(cap, tuple(coeffs))
+    return TruncatedSeries(tuple(coeffs))
 
 
-def mul_polynomial(a: TruncatedSeries, spec: AlgebraSpec) -> TruncatedSeries:
-    """a times the Poincare series of spec, the same as mul(a, series_of(spec, a.cap))."""
-    coeffs = list(a.coeffs)
-    _times_geometric(coeffs, spec.generators_below(a.cap))
-    return TruncatedSeries(a.cap, tuple(coeffs))
-
-
-def div_polynomial(
-    a: TruncatedSeries, spec: AlgebraSpec, *, times: AlgebraSpec = AlgebraSpec()
-) -> TruncatedSeries:
-    """a divided by the Poincare series of spec, the same as
-    exact_div(a, series_of(spec, a.cap)), errors included.
+def ratio_polynomial(a: TruncatedSeries, times: AlgebraSpec, over: AlgebraSpec) -> TruncatedSeries:
+    """a times the Poincare series of times, divided by the Poincare series
+    of over, on one list: the same quotient and the same NotDivisibleError
+    as exact_div(mul(a, series_of(times, cap)), series_of(over, cap)).
 
     Dividing by 1 / (1 - t^d) is multiplying by 1 - t^d: one backward
     difference with stride d, taken from the top degree down so each step
     reads a coefficient not yet changed.  The quotient is unique, so a
-    negative coefficient anywhere means a is not divisible; the lowest
-    one is reported, as exact_div would.
-
-    With times, a is first multiplied by the Poincare series of times on
-    the same list, and only the quotient is validated: the product may
-    exceed 64 bits where the quotient does not.
+    negative coefficient anywhere means the product is not divisible; the
+    lowest one is reported, as exact_div would.  Only the quotient is
+    validated: the product may exceed 64 bits where the quotient does not.
     """
     cap = a.cap
     coeffs = list(a.coeffs)
     _times_geometric(coeffs, times.generators_below(cap))
-    for d in spec.generators_below(cap):
+    for d in over.generators_below(cap):
         for t in range(cap, d - 1, -1):
             coeffs[t] -= coeffs[t - d]
-    for t, c in enumerate(coeffs):
-        if c < 0:
-            raise NotDivisibleError(f"quotient coefficient in degree {t} would be {c}")
-    return TruncatedSeries(cap, tuple(coeffs))
+    # One C-level pass; the scan runs only to name the lowest negative degree.
+    if min(coeffs) < 0:
+        t = next(t for t, c in enumerate(coeffs) if c < 0)
+        raise NotDivisibleError(f"quotient coefficient in degree {t} would be {coeffs[t]}")
+    return TruncatedSeries(tuple(coeffs))
 
 
 def simple_system_series(d: int, cap: int) -> TruncatedSeries:
@@ -201,13 +200,13 @@ def simple_system_series(d: int, cap: int) -> TruncatedSeries:
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    coeffs = [1] + [0] * cap
+    coeffs = _unit_list(cap)
     e = d
     while e <= cap:
         for t in range(cap, e - 1, -1):
             coeffs[t] += coeffs[t - e]
         e *= 2
-    return TruncatedSeries(cap, tuple(coeffs))
+    return TruncatedSeries(tuple(coeffs))
 
 
 def _times_geometric(coeffs: list[int], degrees: tuple[int, ...]) -> None:

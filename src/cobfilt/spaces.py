@@ -4,7 +4,7 @@ counts.
 
 The dual Steenrod algebra A_* is polynomial on classes xi_k in degrees
 2^k - 1; an independent count of the same dimensions enumerates Milnor
-basis monomials directly.
+basis monomials directly, each as its exponent tuple (e_1, ..., e_k).
 
 A filtration stage (n, j, i) contributes the Thom-complex homology
 A_* (x) Z/2[one generator per stage up to this one], and since the
@@ -12,43 +12,25 @@ Adams spectral sequence of such a complex collapses onto its s = 0
 line, the homotopy dimension count is exactly the quotient by the A_*
 factor.
 
-Both series go through the stride kernels of cobfilt.series, O(cap) per
-generator: the Thom homology is the cached A_* series times one running
-sum per stage generator, and the homotopy series runs those running sums
-and then divides A_* back out by one backward difference per xi_k degree
-2^k - 1, all on one list.  That division is a real one: a homology
-series that A_* does not divide raises NotDivisibleError.  Only the
-quotient is validated, so the homotopy route overflows only where the
-homotopy series itself exceeds 64 bits, while the Thom series of the
-same stage may overflow at a lower cap.
+Both series are one call of the stride kernel ratio_polynomial, O(cap)
+per generator, on the cached A_* series: the Thom homology multiplies it
+by one running sum per stage generator, and the homotopy series runs the
+same running sums and then divides A_* back out by one backward
+difference per xi_k degree 2^k - 1, on one list.  That division is a
+real one: a homology series that A_* does not divide raises
+NotDivisibleError.  Only the quotient is validated, so the homotopy
+route overflows only where the homotopy series itself exceeds 64 bits,
+while the Thom series of the same stage may overflow at a lower cap.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 
 from .degrees import StageTriple, TableEntry, stages_up_to_degree
-from .series import AlgebraSpec, TruncatedSeries, div_polynomial, mul_polynomial, series_of
-
-
-@dataclass(frozen=True)
-class MilnorMonomial:
-    """Exponent sequence (e_1, ..., e_k) of a monomial in the xi_k."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("exponents must be non-negative")
-        if self.exponents and self.exponents[-1] == 0:
-            raise ValueError("trailing zero exponents are trimmed")
-
-    @property
-    def degree(self) -> int:
-        return sum(e * ((1 << k) - 1) for k, e in enumerate(self.exponents, start=1))
+from .series import AlgebraSpec, TruncatedSeries, ratio_polynomial, series_of
 
 
 def _steenrod_spec(cap: int) -> AlgebraSpec:
@@ -63,24 +45,24 @@ def steenrod_series(cap: int) -> TruncatedSeries:
     return series_of(_steenrod_spec(cap), cap)
 
 
-def milnor_monomials(t: int) -> list[MilnorMonomial]:
-    """All Milnor basis monomials of degree t.
+def milnor_monomials(t: int) -> list[tuple[int, ...]]:
+    """All Milnor basis monomials of degree t, as exponent tuples (e_1, ..., e_k)
+    with e_k > 0; the empty tuple is the unit.
 
     Enumerates exponent sequences with sum e_k (2^k - 1) = t by direct
     recursion, largest xi_1 exponent first; this is the independent
-    count the series route is checked against.
+    count the series route is checked against.  A sequence ends only when
+    its last exponent brought the remainder to 0, so that exponent is
+    nonzero.
     """
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
-    results: list[MilnorMonomial] = []
+    results: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def extend(k: int, remaining: int) -> None:
         if remaining == 0:
-            exps = list(prefix)
-            while exps and exps[-1] == 0:
-                exps.pop()
-            results.append(MilnorMonomial(tuple(exps)))
+            results.append(tuple(prefix))
             return
         weight = (1 << k) - 1
         if weight > remaining:
@@ -119,7 +101,7 @@ def thom_homology_series(t: StageTriple, cap: int) -> TruncatedSeries:
     the polynomial algebra on the generators present at the stage.
     """
     loop_factor = AlgebraSpec.polynomial(*stage_generator_degrees(t, cap))
-    return mul_polynomial(steenrod_series(cap), loop_factor)
+    return ratio_polynomial(steenrod_series(cap), loop_factor, AlgebraSpec())
 
 
 def adams_homotopy_series(t: StageTriple, cap: int) -> TruncatedSeries:
@@ -134,4 +116,4 @@ def adams_homotopy_series(t: StageTriple, cap: int) -> TruncatedSeries:
     of a fallback.
     """
     loop_factor = AlgebraSpec.polynomial(*stage_generator_degrees(t, cap))
-    return div_polynomial(steenrod_series(cap), _steenrod_spec(cap), times=loop_factor)
+    return ratio_polynomial(steenrod_series(cap), loop_factor, _steenrod_spec(cap))

@@ -12,6 +12,7 @@ from cobfilt.checks import (
     verify_quotient_steps,
     verify_simple_systems,
 )
+from cobfilt.degrees import stages_up_to_degree
 from cobfilt.series import AlgebraSpec, TruncatedSeries, mul, series_of
 
 
@@ -141,7 +142,7 @@ def test_simple_systems_detects_a_mutated_factor(monkeypatch):
         coeffs = list(series.coeffs)
         if len(coeffs) > 5:
             coeffs[5] += 1
-        return TruncatedSeries(cap, tuple(coeffs))
+        return TruncatedSeries(tuple(coeffs))
 
     monkeypatch.setattr(checks, "simple_system_series", mutated)
     report = verify_simple_systems(8)
@@ -156,7 +157,7 @@ def test_main_theorem_detects_a_wrong_product_coefficient(monkeypatch):
             return series
         coeffs = list(series.coeffs)
         coeffs[5] += 1
-        return TruncatedSeries(cap, tuple(coeffs))
+        return TruncatedSeries(tuple(coeffs))
 
     monkeypatch.setattr(checks, "series_of", mutated)
     report = verify_main_theorem(8)
@@ -169,7 +170,7 @@ def test_main_theorem_detects_a_wrong_stagewise_convolution(monkeypatch):
     def corrupted(a, b):
         coeffs = list(mul(a, b).coeffs)
         coeffs[5] += 1
-        return TruncatedSeries(a.cap, tuple(coeffs))
+        return TruncatedSeries(tuple(coeffs))
 
     monkeypatch.setattr(checks, "mul", corrupted)
     report = verify_main_theorem(8)
@@ -189,6 +190,25 @@ def test_quotient_steps_detect_a_dropped_stage_generator(monkeypatch):
     assert not report.passed
     # the stage of degree 6 adds nothing, so its quotient is 1, not 1/(1 - t^6)
     assert report.first_discrepancy == Discrepancy(6, 1, 0)
+
+
+def test_quotient_steps_report_a_stage_the_previous_one_does_not_divide(monkeypatch):
+    # the second stage, of degree 5, comes back as the unit series: dividing it
+    # by the first stage's 1/(1 - t^2) would leave 1 - t^2
+    second = stages_up_to_degree(16)[1].triple
+    original = checks.adams_homotopy_series
+
+    def unit_at_second(t, cap):
+        return TruncatedSeries.unit(cap) if t == second else original(t, cap)
+
+    monkeypatch.setattr(checks, "adams_homotopy_series", unit_at_second)
+    report = verify_quotient_steps(16)
+    assert not report.passed
+    assert report.first_discrepancy == Discrepancy(
+        5,
+        [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0],
+        "quotient coefficient in degree 2 would be -1",
+    )
 
 
 # The stage table up to 16 runs 2, 5, 11, 6, ... in stage order.  The table
@@ -218,20 +238,18 @@ def test_quotient_steps_detect_a_broken_stage_table(monkeypatch, defect):
 # reports
 
 
-def test_failing_report_needs_a_witness():
-    with pytest.raises(ValueError, match="witness"):
-        CheckReport("bijection", 8, False)
-
-
 def test_report_serialization():
-    report = CheckReport("bijection", 8, False, Discrepancy(4, 1, 2))
+    # a report passed exactly when it carries no witness
+    report = CheckReport("bijection", 8, Discrepancy(4, 1, 2))
+    assert not report.passed
     assert report.to_json() == {
         "check": "bijection",
         "bound": 8,
         "status": "fail",
         "first_discrepancy": {"degree": 4, "expected": 1, "actual": 2},
     }
-    passing = CheckReport("product", 8, True)
+    passing = CheckReport("product", 8)
+    assert passing.passed
     assert passing.to_json()["status"] == "pass"
     assert passing.to_json()["first_discrepancy"] is None
 

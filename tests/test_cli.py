@@ -11,7 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cobfilt.checks as checks
 from cobfilt import cli
+from cobfilt.degrees import is_excluded
+from cobfilt.series import AlgebraSpec, TruncatedSeries, mul, series_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -250,6 +253,47 @@ def test_verify_rejects_tiny_cap(run_cli):
     assert code == 64
 
 
+@pytest.fixture
+def wrong_stagewise_convolution(monkeypatch):
+    # the defect of test_main_theorem_detects_a_wrong_stagewise_convolution
+    def corrupted(a, b):
+        coeffs = list(mul(a, b).coeffs)
+        coeffs[5] += 1
+        return TruncatedSeries(tuple(coeffs))
+
+    monkeypatch.setattr(checks, "mul", corrupted)
+
+
+def test_verify_failure_exits_one(run_cli, wrong_stagewise_convolution):
+    assert run_cli("verify", "--check", "product", "--cap", "8") == (
+        1,
+        "product: fail (cap 8)\n"
+        "product series: [1, 0, 1, 0, 2, 1, 3, 1, 5]\n"
+        "  first discrepancy: {'degree': 5, 'expected': 1, 'actual': {'stagewise': 6}}\n"
+        "result: 1 check(s) failed\n",
+        "",
+    )
+
+
+def test_verify_failure_json_envelope(run_cli, envelope_validator, wrong_stagewise_convolution):
+    code, out, err = run_cli("verify", "--check", "product", "--cap", "8", "--json")
+    assert (code, err) == (1, "")
+    envelope = json.loads(out)
+    envelope_validator.validate(envelope)
+    assert envelope["status"] == "ok"
+    assert envelope["result"] == {
+        "cap": 8,
+        "all_passed": False,
+        "checks": [{
+            "check": "product",
+            "bound": 8,
+            "status": "fail",
+            "first_discrepancy": {"degree": 5, "expected": 1, "actual": {"stagewise": 6}},
+            "series": [1, 0, 1, 0, 2, 1, 3, 1, 5],
+        }],
+    }
+
+
 # ---------------------------------------------------------------------------
 # domain errors
 
@@ -261,12 +305,15 @@ def _overflow(degree):
 # Every domain error exits 2 with its code and message.  The last stage at
 # cap 417 carries every generator and its homology needs more than 64 bits in
 # degree 417; its homotopy series, like the ring series, only in degree 540.
+# verify --check product|all is refused above cap 539 before any work.
 DOMAIN_ERRORS = [
     pytest.param(argv, code, message, id=" ".join(argv))
     for argv, (code, message) in (
         (("series", "homology", "--stage", "105,0,0", "--cap", "417"), _overflow(417)),
         (("series", "homotopy", "--stage", "136,0,0", "--cap", "540"), _overflow(540)),
         (("verify", "--check", "all", "--cap", "560"), _overflow(540)),
+        (("verify", "--check", "product", "--cap", "100000"), _overflow(540)),
+        (("verify", "--check", "all", "--cap", "100000"), _overflow(540)),
         (("decompose", "7"), ("EXCLUDED_DEGREE", "no generator in degree 7: 8 is a power of two")),
         (("recipe", "3"), ("EXCLUDED_DEGREE", "no generator in degree 3: 4 is a power of two")),
     )
@@ -292,6 +339,15 @@ def test_overflow_json_envelope(run_cli, envelope_validator, argv, code, message
     assert envelope["status"] == "error"
     assert envelope["error"] == {"code": code, "message": message}
     assert envelope["parameters"]["cap" if "--cap" in argv else "degree"] == int(argv[-1])
+
+
+def test_ring_series_cap_limit_is_where_the_ring_series_overflows():
+    # the CLI's limit for product and all is the last cap the ring series fits
+    limit = cli._RING_SERIES_MAX_CAP
+    gens = [d for d in range(2, limit + 2) if not is_excluded(d)]
+    series_of(AlgebraSpec.polynomial(*gens), limit)
+    with pytest.raises(OverflowError, match=f"degree {limit + 1} "):
+        series_of(AlgebraSpec.polynomial(*gens), limit + 1)
 
 
 def test_unexpected_exception_is_internal(run_cli, envelope_validator, monkeypatch):
@@ -399,9 +455,9 @@ def test_the_module_parser_carries_nothing_between_calls(run_cli):
 # argv fuzzing
 
 COMMANDS = ("decompose", "recipe", "table", "series", "verify")
-# Degrees, caps and table bounds stay <= 32 so each call is fast.  The
-# unbounded-cap hang (`verify --cap 100000` does not end in practical time) is
-# still open in ROADMAP item 4 and is not covered here.
+# Degrees, caps and table bounds stay <= 32 so each call is fast.  A large
+# cap for verify --check quotients|simple-system|bijection still runs for as
+# long as its cap asks (simple-system grows as cap^2) and is not covered here.
 NUMBER = st.integers(-3, 32).map(str)
 STAGE = st.tuples(*[st.integers(0, 4)] * 3).map(lambda t: ",".join(map(str, t)))
 # Junk holds no decimal digits, so no junk token parses as a large number.

@@ -7,10 +7,9 @@ from cobfilt.series import (
     AlgebraSpec,
     NotDivisibleError,
     TruncatedSeries,
-    div_polynomial,
     exact_div,
     mul,
-    mul_polynomial,
+    ratio_polynomial,
     series_of,
     simple_system_series,
 )
@@ -27,7 +26,7 @@ def brute_convolution(a, b):
 
 def geometric(d, cap):
     # 1 + t^d + t^2d + ... written out by hand, never through series_of
-    return TruncatedSeries(cap, tuple(int(t % d == 0) for t in range(cap + 1)))
+    return TruncatedSeries(tuple(int(t % d == 0) for t in range(cap + 1)))
 
 
 def convolution_product(degrees, cap):
@@ -41,18 +40,14 @@ def convolution_product(degrees, cap):
 @st.composite
 def series_pairs(draw, max_cap=16, max_coeff=30):
     cap = draw(st.integers(0, max_cap))
-    mk = lambda: TruncatedSeries(
-        cap, tuple(draw(st.lists(st.integers(0, max_coeff), min_size=cap + 1, max_size=cap + 1)))
-    )
+    mk = lambda: TruncatedSeries(draw(coefficient_lists(cap, max_coeff)))
     return mk(), mk()
 
 
 @st.composite
 def series_triples(draw, max_cap=12, max_coeff=12):
     cap = draw(st.integers(0, max_cap))
-    mk = lambda: TruncatedSeries(
-        cap, tuple(draw(st.lists(st.integers(0, max_coeff), min_size=cap + 1, max_size=cap + 1)))
-    )
+    mk = lambda: TruncatedSeries(draw(coefficient_lists(cap, max_coeff)))
     return mk(), mk(), mk()
 
 
@@ -129,47 +124,70 @@ def test_ring_series_fits_u64_through_cap_539():
 
 
 # ---------------------------------------------------------------------------
-# mul_polynomial and div_polynomial
+# ratio_polynomial: its times half multiplies by a polynomial series, its
+# over half divides by one, each tested on its own and then both together
 
 
 @given(capped_specs(), st.data())
 def test_mul_polynomial_equals_convolution(spec_cap, data):
     spec, cap = spec_cap
-    a = TruncatedSeries(cap, tuple(data.draw(coefficient_lists(cap))))
-    assert mul_polynomial(a, spec).coeffs == mul(a, convolution_product(spec.degrees, cap)).coeffs
+    a = TruncatedSeries(data.draw(coefficient_lists(cap)))
+    expected = mul(a, convolution_product(spec.degrees, cap))
+    assert ratio_polynomial(a, spec, AlgebraSpec()).coeffs == expected.coeffs
 
 
 @given(capped_specs(), st.data())
 def test_div_polynomial_then_mul_polynomial_round_trip(spec_cap, data):
     spec, cap = spec_cap
-    quotient = TruncatedSeries(cap, tuple(data.draw(coefficient_lists(cap))))
+    quotient = TruncatedSeries(data.draw(coefficient_lists(cap)))
     a = mul(quotient, convolution_product(spec.degrees, cap))
-    assert div_polynomial(a, spec).coeffs == quotient.coeffs
-    assert mul_polynomial(div_polynomial(a, spec), spec).coeffs == a.coeffs
+    divided = ratio_polynomial(a, AlgebraSpec(), spec)
+    assert divided.coeffs == quotient.coeffs
+    assert ratio_polynomial(divided, spec, AlgebraSpec()).coeffs == a.coeffs
+    assert ratio_polynomial(a, spec, spec).coeffs == a.coeffs
 
 
 @given(capped_specs(), st.data())
 def test_div_polynomial_agrees_with_exact_div(spec_cap, data):
     # mostly not divisible: both routes must refuse with the same witness
     spec, cap = spec_cap
-    a = TruncatedSeries(cap, (1,) + tuple(data.draw(coefficient_lists(cap, max_coeff=3)))[1:])
+    a = TruncatedSeries((1,) + tuple(data.draw(coefficient_lists(cap, max_coeff=3)))[1:])
     b = convolution_product(spec.degrees, cap)
     try:
         expected = exact_div(a, b)
     except NotDivisibleError as exc:
         with pytest.raises(NotDivisibleError) as raised:
-            div_polynomial(a, spec)
+            ratio_polynomial(a, AlgebraSpec(), spec)
         assert str(raised.value) == str(exc)
     else:
-        assert div_polynomial(a, spec).coeffs == expected.coeffs
+        assert ratio_polynomial(a, AlgebraSpec(), spec).coeffs == expected.coeffs
+
+
+@given(capped_specs(), capped_specs(), st.data())
+def test_ratio_polynomial_agrees_with_mul_then_exact_div(times_cap, over_cap, data):
+    # both halves on one list: the same quotient, or the same refusal
+    (times, cap), (over, _) = times_cap, over_cap
+    a = TruncatedSeries(data.draw(coefficient_lists(cap, max_coeff=3)))
+    product = mul(a, convolution_product(times.degrees, cap))
+    try:
+        expected = exact_div(product, convolution_product(over.degrees, cap))
+    except NotDivisibleError as exc:
+        with pytest.raises(NotDivisibleError) as raised:
+            ratio_polynomial(a, times, over)
+        assert str(raised.value) == str(exc)
+    else:
+        assert ratio_polynomial(a, times, over).coeffs == expected.coeffs
 
 
 def test_div_polynomial_detects_a_non_divisible_series():
     # 1 / (1/(1 - t^2)) = 1 - t^2
     with pytest.raises(NotDivisibleError, match="degree 2 would be -1"):
-        div_polynomial(TruncatedSeries.unit(4), AlgebraSpec.polynomial(2))
+        ratio_polynomial(TruncatedSeries.unit(4), AlgebraSpec(), AlgebraSpec.polynomial(2))
     with pytest.raises(NotDivisibleError, match="degree 3 would be -1"):
-        div_polynomial(TruncatedSeries(4, (1, 1, 1, 0, 1)), AlgebraSpec.polynomial(1))
+        ratio_polynomial(TruncatedSeries((1, 1, 1, 0, 1)), AlgebraSpec(), AlgebraSpec.polynomial(1))
+    # (1 + t) / (1/(1 - t^2)) = 1 + t - t^2 - t^3: the lowest negative degree is named
+    with pytest.raises(NotDivisibleError, match="degree 2 would be -1"):
+        ratio_polynomial(TruncatedSeries((1, 1, 0, 0)), AlgebraSpec(), AlgebraSpec.polynomial(2))
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +195,25 @@ def test_div_polynomial_detects_a_non_divisible_series():
 
 
 def test_mul_matches_hand_convolution():
-    a = TruncatedSeries(4, (1, 0, 1, 0, 1))
-    b = TruncatedSeries(4, (1, 1, 1, 2, 2))
+    a = TruncatedSeries((1, 0, 1, 0, 1))
+    b = TruncatedSeries((1, 1, 1, 2, 2))
     assert mul(a, b).coeffs == (1, 1, 2, 3, 4)
 
 
 def test_mul_unit_is_identity():
-    a = TruncatedSeries(4, (3, 1, 4, 1, 5))
+    a = TruncatedSeries((3, 1, 4, 1, 5))
     assert mul(a, TruncatedSeries.unit(4)).coeffs == a.coeffs
 
 
 def test_mul_truncates():
-    a = TruncatedSeries(1, (1, 1))
+    a = TruncatedSeries((1, 1))
     assert mul(a, a).coeffs == (1, 2)
 
 
 def test_mul_cap_mismatch():
-    with pytest.raises(ValueError, match="cap mismatch"):
+    with pytest.raises(ValueError) as raised:
         mul(TruncatedSeries.unit(3), TruncatedSeries.unit(4))
+    assert str(raised.value) == "cap mismatch: 3 != 4"
 
 
 @given(series_pairs())
@@ -221,12 +240,12 @@ def sparse_series(draw, cap, max_terms=3, max_coeff=1000):
     coeffs = [0] * (cap + 1)
     for t in draw(st.sets(st.integers(0, cap), max_size=max_terms)):
         coeffs[t] = draw(st.integers(1, max_coeff))
-    return TruncatedSeries(cap, tuple(coeffs))
+    return TruncatedSeries(tuple(coeffs))
 
 
 def dense_series(cap, max_coeff=1000):
     return st.lists(st.integers(1, max_coeff), min_size=cap + 1, max_size=cap + 1).map(
-        lambda coeffs: TruncatedSeries(cap, tuple(coeffs))
+        lambda coeffs: TruncatedSeries(tuple(coeffs))
     )
 
 
@@ -234,7 +253,7 @@ def mixed_series(cap, max_coeff=1000):
     # zero or not at random in every degree
     coefficient = st.one_of(st.just(0), st.integers(1, max_coeff))
     return st.lists(coefficient, min_size=cap + 1, max_size=cap + 1).map(
-        lambda coeffs: TruncatedSeries(cap, tuple(coeffs))
+        lambda coeffs: TruncatedSeries(tuple(coeffs))
     )
 
 
@@ -254,33 +273,33 @@ def test_mul_agrees_with_brute_convolution_at_every_sparsity(left, right, cap, d
 
 
 def test_exact_div_inverts_the_mul_example():
-    a = TruncatedSeries(4, (1, 1, 2, 3, 4))
-    b = TruncatedSeries(4, (1, 1, 1, 2, 2))
+    a = TruncatedSeries((1, 1, 2, 3, 4))
+    b = TruncatedSeries((1, 1, 1, 2, 2))
     assert exact_div(a, b).coeffs == (1, 0, 1, 0, 1)
 
 
 def test_exact_div_by_self_is_unit():
-    b = TruncatedSeries(5, (1, 2, 0, 3, 1, 1))
+    b = TruncatedSeries((1, 2, 0, 3, 1, 1))
     assert exact_div(b, b).coeffs == (1, 0, 0, 0, 0, 0)
 
 
 def test_exact_div_detects_negative_coefficient():
-    a = TruncatedSeries(2, (1, 0, 1))
-    b = TruncatedSeries(2, (1, 1, 0))
+    a = TruncatedSeries((1, 0, 1))
+    b = TruncatedSeries((1, 1, 0))
     with pytest.raises(NotDivisibleError, match="degree 1"):
         exact_div(a, b)
 
 
 def test_exact_div_requires_unit_constant_term():
-    a = TruncatedSeries(2, (1, 0, 1))
+    a = TruncatedSeries((1, 0, 1))
     with pytest.raises(ValueError, match="constant coefficient"):
-        exact_div(a, TruncatedSeries(2, (0, 1, 0)))
+        exact_div(a, TruncatedSeries((0, 1, 0)))
 
 
 @given(series_pairs())
 def test_exact_div_round_trip(pair):
     a, b = pair
-    b = TruncatedSeries(b.cap, (1,) + b.coeffs[1:])
+    b = TruncatedSeries((1,) + b.coeffs[1:])
     assert exact_div(mul(a, b), b).coeffs == a.coeffs
 
 
@@ -296,7 +315,7 @@ def long_division(a, b):
 
 
 def unit_constant(series):
-    return TruncatedSeries(series.cap, (1,) + series.coeffs[1:])
+    return TruncatedSeries((1,) + series.coeffs[1:])
 
 
 @pytest.mark.parametrize("quotient,divisor", [("sparse", "dense"), ("dense", "sparse"), ("mixed", "mixed")])
@@ -345,8 +364,8 @@ def test_simple_system_equals_brute_force_product(d, cap):
     product = TruncatedSeries.unit(cap)
     e = d
     while e <= cap:
-        factor = TruncatedSeries(cap, tuple(int(t in (0, e)) for t in range(cap + 1)))
-        product = TruncatedSeries(cap, brute_convolution(product, factor))
+        factor = TruncatedSeries(tuple(int(t in (0, e)) for t in range(cap + 1)))
+        product = TruncatedSeries(brute_convolution(product, factor))
         e *= 2
     assert simple_system_series(d, cap).coeffs == product.coeffs
 
@@ -361,32 +380,54 @@ def test_simple_system_equals_polynomial_series(d, cap):
 
 
 def test_coeff_length_must_match_cap():
-    with pytest.raises(ValueError, match="coefficients"):
-        TruncatedSeries(3, (1, 0))
+    # the cap is len(coeffs) - 1, so the only length without a cap is zero
+    with pytest.raises(ValueError, match="degree-0 coefficient"):
+        TruncatedSeries(())
+    assert TruncatedSeries((1, 0, 2)).cap == 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [TruncatedSeries.unit, lambda cap: series_of(AlgebraSpec.polynomial(1), cap),
+     lambda cap: simple_system_series(1, cap)],
+    ids=["unit", "series_of", "simple_system_series"],
+)
+@pytest.mark.parametrize("cap", [-1, -5])
+def test_negative_cap_rejected(build, cap):
+    # without a guard, [1] + [0] * cap would quietly build a cap-0 series
+    with pytest.raises(ValueError) as raised:
+        build(cap)
+    assert str(raised.value) == f"cap must be >= 0, got {cap}"
+
+
+def test_exact_div_cap_mismatch():
+    with pytest.raises(ValueError) as raised:
+        exact_div(TruncatedSeries.unit(3), TruncatedSeries.unit(4))
+    assert str(raised.value) == "cap mismatch: 3 != 4"
 
 
 def test_negative_coefficient_rejected():
     with pytest.raises(ValueError, match="negative"):
-        TruncatedSeries(1, (1, -2))
+        TruncatedSeries((1, -2))
 
 
 def test_overflowing_coefficient_rejected():
     with pytest.raises(OverflowError):
-        TruncatedSeries(1, (1, U64_MAX + 1))
+        TruncatedSeries((1, U64_MAX + 1))
 
 
 def test_mul_overflow_is_detected_not_wrapped():
-    a = TruncatedSeries(1, (1, U64_MAX))
-    b = TruncatedSeries(1, (1, 1))
+    a = TruncatedSeries((1, U64_MAX))
+    b = TruncatedSeries((1, 1))
     with pytest.raises(OverflowError):
         mul(a, b)
 
 
 def test_non_integer_coefficient_rejected():
     with pytest.raises(ValueError, match="not an integer"):
-        TruncatedSeries(1, (True, False))
+        TruncatedSeries((True, False))
     with pytest.raises(ValueError, match="not an integer"):
-        TruncatedSeries(1, (1, 1.0))
+        TruncatedSeries((1, 1.0))
 
 
 # Each fault, and the error the container must raise for it in degree t.
@@ -409,7 +450,7 @@ def test_series_with_several_faults_names_the_lowest(cap, data):
     lowest = min(faults)
     _, error, message = FAULTS[faults[lowest]]
     with pytest.raises(error) as raised:
-        TruncatedSeries(cap, tuple(coeffs))
+        TruncatedSeries(tuple(coeffs))
     assert type(raised.value) is error
     assert str(raised.value) == message.format(t=lowest)
 

@@ -6,7 +6,6 @@ from cobfilt.checks import partition_dp, verify_quotient_steps
 from cobfilt.degrees import BASE, StageTriple, stages_up_to_degree
 from cobfilt.series import AlgebraSpec, exact_div, mul, series_of
 from cobfilt.spaces import (
-    MilnorMonomial,
     adams_homotopy_series,
     milnor_monomials,
     stage_generator_degrees,
@@ -31,35 +30,39 @@ def test_dual_steenrod_series_low_degrees():
     assert steenrod_series(6).coeffs == (1, 1, 1, 2, 2, 2, 3)
 
 
+def test_negative_steenrod_cap_rejected():
+    with pytest.raises(ValueError) as raised:
+        steenrod_series(-1)
+    assert str(raised.value) == "cap must be >= 0, got -1"
+
+
 def test_milnor_monomials_degree_three():
-    assert [m.exponents for m in milnor_monomials(3)] == [(3,), (0, 1)]
+    assert milnor_monomials(3) == [(3,), (0, 1)]
 
 
 def test_milnor_monomials_degree_zero():
-    assert [m.exponents for m in milnor_monomials(0)] == [()]
+    assert milnor_monomials(0) == [()]
 
 
 def test_milnor_monomials_degree_six():
-    assert [m.exponents for m in milnor_monomials(6)] == [(6,), (3, 1), (0, 2)]
+    assert milnor_monomials(6) == [(6,), (3, 1), (0, 2)]
 
 
 @given(st.integers(0, 40))
 def test_milnor_count_matches_series(t):
     monomials = milnor_monomials(t)
     assert len(monomials) == steenrod_series(40)[t]
-    assert all(m.degree == t for m in monomials)
-    assert len(set(m.exponents for m in monomials)) == len(monomials)
+    # xi_k lies in degree 2^k - 1; no monomial carries a trailing zero exponent
+    assert all(sum(e * (2**k - 1) for k, e in enumerate(m, start=1)) == t for m in monomials)
+    assert all(m[-1] > 0 for m in monomials if m)
+    assert all(e >= 0 for m in monomials for e in m)
+    assert len(set(monomials)) == len(monomials)
 
 
 @given(st.integers(0, 30))
 def test_milnor_monomials_sorted_descending(t):
-    exps = [m.exponents for m in milnor_monomials(t)]
+    exps = milnor_monomials(t)
     assert exps == sorted(exps, reverse=True)
-
-
-def test_milnor_monomial_rejects_trailing_zero():
-    with pytest.raises(ValueError):
-        MilnorMonomial((1, 0))
 
 
 # ---------------------------------------------------------------------------
