@@ -30,7 +30,7 @@ from .checks import (
     verify_simple_systems,
 )
 from .degrees import ExcludedDegreeError, StageTriple, compose, decompose, stages_up_to_degree
-from .manifolds import expand, indecomposable, plan
+from .manifolds import expand, indecomposable, plan, table_terms
 from .spaces import adams_homotopy_series, steenrod_series, thom_homology_series
 
 EXIT_OK = 0
@@ -161,19 +161,22 @@ def _cmd_recipe(ns: argparse.Namespace) -> _Outcome:
 
 def _cmd_table(ns: argparse.Namespace) -> _Outcome:
     table = stages_up_to_degree(ns.max_degree)
-    rows = [
-        {
-            "degree": entry.degree,
-            "stage": _stage_json(entry.triple),
-            "term": expand(plan(entry.degree)),
-        }
-        for entry in table
-    ]
-    lines = [f"{'degree':<8}{'stage':<12}recipe"]
-    for entry, row in zip(table, rows):
-        lines.append(f"{entry.degree:<8}{_stage_text(entry.triple):<12}{row['term']}")
-    lines.append(f"{len(rows)} generator(s) up to degree {ns.max_degree}")
-    return EXIT_OK, {"max_degree": ns.max_degree, "rows": rows}, lines
+    terms = table_terms(table)
+    result: dict = {"max_degree": ns.max_degree}
+    lines = []
+    if ns.json:  # the envelope is built from result alone, the text from lines alone
+        result["rows"] = [
+            {"degree": degree, "stage": _stage_json(triple), "term": term}
+            for (degree, triple), term in zip(table, terms)
+        ]
+    else:
+        lines.append(f"{'degree':<8}{'stage':<12}recipe")
+        lines += [
+            f"{degree:<8}{_stage_text(triple):<12}{term}"
+            for (degree, triple), term in zip(table, terms)
+        ]
+        lines.append(f"{len(terms)} generator(s) up to degree {ns.max_degree}")
+    return EXIT_OK, result, lines
 
 
 def _cmd_series(ns: argparse.Namespace) -> _Outcome:

@@ -21,13 +21,18 @@ A recipe stores its base dimension and its step values, 1 or 2, in the
 order they apply; the step counts and intermediate dimensions are read
 off the steps.  Recipes are symbolic terms only; nothing here builds an
 actual cell or simplicial model.
+
+Cup-1 takes stage (n, j, i) to (n, j, i + 1), so a stage table's terms
+are rendered run by run: the first entry of each (n, j) run from its
+recipe, every later one as the cup-1 of the term before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .degrees import decompose
+from .degrees import StageTriple, TableEntry, decompose
 
 
 class RuleNotApplicableError(ValueError):
@@ -51,7 +56,7 @@ class CupRecipe:
         if self.base_dim < 2 or self.base_dim % 2:
             raise ValueError(f"base must be a positive even dimension, got {self.base_dim}")
         object.__setattr__(self, "steps", tuple(self.steps))
-        if any(m not in (1, 2) for m in self.steps):
+        if not set(self.steps) <= {1, 2}:
             raise ValueError(f"steps must be cup-1 or cup-2, got {self.steps}")
 
     @property
@@ -88,11 +93,17 @@ class Justification:
 def plan(d: int) -> CupRecipe:
     """The recipe reaching generator degree d from its projective base.
 
-    Stage (n, j, i): base RP^2 with j - 1 cup-2 steps for n = 1, base
-    RP^(4(n-1)) with j cup-2 steps for n >= 2, then i cup-1 steps.
     Excluded degrees have no recipe.
     """
-    t = decompose(d)
+    return stage_recipe(decompose(d))
+
+
+def stage_recipe(t: StageTriple) -> CupRecipe:
+    """The recipe of a generator-bearing stage (n, j, i).
+
+    Base RP^2 with j - 1 cup-2 steps for n = 1, base RP^(4(n-1)) with
+    j cup-2 steps for n >= 2, then i cup-1 steps.
+    """
     if t.n == 1:
         return CupRecipe(2, (2,) * (t.j - 1) + (1,) * t.i)
     return CupRecipe(4 * (t.n - 1), (2,) * t.j + (1,) * t.i)
@@ -103,16 +114,38 @@ def recipe_dimension(r: CupRecipe) -> int:
     return (r.base_dim, *r.intermediate_dims)[-1]
 
 
+# Cup-m of a term T renders as P(m,T): the text before T for each m, and after it.
+_CUP_OPEN = {1: "P(1,", 2: "P(2,"}
+_CUP_CLOSE = ")"
+
+
 def expand(r: CupRecipe) -> str:
     """Render a recipe as its symbolic term, e.g. "P(1,P(2,RP^2))".
 
     Steps apply innermost first, so the base sits at the centre and the
     last step is the outermost wrapper.
     """
-    term = f"RP^{r.base_dim}"
-    for m in r.steps:
-        term = f"P({m},{term})"
-    return term
+    opens = [_CUP_OPEN[m] for m in reversed(r.steps)]
+    return "".join([*opens, f"RP^{r.base_dim}", _CUP_CLOSE * len(opens)])
+
+
+def table_terms(table: Iterable[TableEntry]) -> list[str]:
+    """The term of each entry of a stage table, in its order.
+
+    The table must be in stage order from the start of each (n, j) run,
+    as stages_up_to_degree returns it.  Cup-1 takes degree d to 2d + 1,
+    which is the step from stage (n, j, i) to (n, j, i + 1), so each
+    entry with i >= 1 is the cup-1 of the entry before it: only the first
+    entry of a run is expanded from its recipe.
+    """
+    terms: list[str] = []
+    term = ""
+    cup1 = _CUP_OPEN[1]
+    for entry in table:
+        t = entry.triple
+        term = cup1 + term + _CUP_CLOSE if t.i else expand(stage_recipe(t))
+        terms.append(term)
+    return terms
 
 
 def indecomposable(r: CupRecipe) -> tuple[Justification, ...]:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import cobfilt.checks as checks
 from cobfilt import cli
-from cobfilt.degrees import is_excluded
+from cobfilt.degrees import decompose, is_excluded
+from cobfilt.manifolds import expand, plan
 from cobfilt.series import AlgebraSpec, TruncatedSeries, mul, series_of
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -121,6 +122,28 @@ def test_table_row_counts(run_cli_json):
 def test_table_six_in_stage_order(run_cli_json):
     _, env = run_cli_json("table", "6")
     assert [r["degree"] for r in env["result"]["rows"]] == [2, 5, 6, 4]
+
+
+def test_table_terms_match_the_recipe_of_each_degree(run_cli):
+    # The table renders a row with i >= 1 as the cup-1 of the row before it;
+    # plan decomposes each degree afresh, so expand(plan(d)) shares no shortcut.
+    for bound in [*range(301), 1000, 10_000]:
+        code, out, err = run_cli("table", str(bound))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        text_rows = [tuple(line.split()) for line in lines[1:-1]]
+        assert lines[-1] == f"{len(text_rows)} generator(s) up to degree {bound}"
+        code, out, err = run_cli("table", str(bound), "--json")
+        assert (code, err) == (0, "")
+        json_rows = [
+            (str(row["degree"]), "({n},{j},{i})".format(**row["stage"]), row["term"])
+            for row in json.loads(out)["result"]["rows"]
+        ]
+        assert json_rows == text_rows
+        for degree, stage, term in text_rows:
+            t = decompose(int(degree))
+            assert stage == f"({t.n},{t.j},{t.i})"
+            assert term == expand(plan(int(degree)))
 
 
 # ---------------------------------------------------------------------------

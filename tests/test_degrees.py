@@ -207,3 +207,16 @@ def test_stage_table_is_sorted_by_triple():
     triples = [entry.triple for entry in stages_up_to_degree(200)]
     assert triples == sorted(triples)
     assert len(set(triples)) == len(triples)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 6, 100, 4095, 4096, 10**4])
+def test_each_later_stage_of_a_run_follows_the_one_it_is_the_cup1_of(bound):
+    # the table renders an entry with i >= 1 as the cup-1 of the entry before it
+    table = stages_up_to_degree(bound)
+    for k, entry in enumerate(table):
+        n, j, i = entry.triple.n, entry.triple.j, entry.triple.i
+        if i:
+            assert k > 0
+            before = table[k - 1]
+            assert before.triple == StageTriple(n, j, i - 1)
+            assert entry.degree == 2 * before.degree + 1
