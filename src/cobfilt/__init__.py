@@ -32,7 +32,6 @@ from .manifolds import (
     expand,
     indecomposable,
     plan,
-    recipe_dimension,
 )
 from .series import (
     U64_MAX,
@@ -47,7 +46,6 @@ from .series import (
 )
 from .spaces import (
     adams_homotopy_series,
-    milnor_monomials,
     stage_generator_degrees,
     steenrod_series,
     thom_homology_series,

@@ -30,7 +30,7 @@ from .checks import (
     verify_simple_systems,
 )
 from .degrees import ExcludedDegreeError, StageTriple, compose, decompose, stages_up_to_degree
-from .manifolds import expand, indecomposable, plan, table_terms
+from .manifolds import expand, indecomposable, stage_recipe, table_terms
 from .spaces import adams_homotopy_series, steenrod_series, thom_homology_series
 
 EXIT_OK = 0
@@ -69,8 +69,9 @@ _ERRORS: tuple[tuple[type[Exception], int, str], ...] = (
     (_UsageError, EXIT_USAGE, "USAGE"),
     (Exception, EXIT_INTERNAL, "INTERNAL"),
 )
-# The ring series, which the product check computes, fits in 64 bits through
-# this degree, so product and all are refused above it before any work.
+# The ring series fits in 64 bits through this degree.  The product check
+# computes it, and the quotient check's last stage is it, so product,
+# quotients and all are refused above it before any work.
 _RING_SERIES_MAX_CAP = 539
 
 
@@ -126,15 +127,19 @@ def _parameters(ns: argparse.Namespace) -> dict:
     return params
 
 
+def _degree_line(d: int, t: StageTriple) -> str:
+    return f"degree {d}: stage (n={t.n}, j={t.j}, i={t.i})"
+
+
 def _cmd_decompose(ns: argparse.Namespace) -> _Outcome:
     t = decompose(ns.degree)
-    result = {"n": t.n, "j": t.j, "i": t.i, "recomposed": compose(t)}
-    return EXIT_OK, result, [f"degree {ns.degree}: stage (n={t.n}, j={t.j}, i={t.i})"]
+    return EXIT_OK, {**_stage_json(t), "recomposed": compose(t)}, [_degree_line(ns.degree, t)]
 
 
 def _cmd_recipe(ns: argparse.Namespace) -> _Outcome:
     t = decompose(ns.degree)
-    recipe = plan(ns.degree)
+    recipe = stage_recipe(t)
+    dims = recipe.intermediate_dims
     chain = indecomposable(recipe)
     result = {
         "degree": ns.degree,
@@ -142,15 +147,14 @@ def _cmd_recipe(ns: argparse.Namespace) -> _Outcome:
         "base_dim": recipe.base_dim,
         "cup2_count": recipe.cup2_count,
         "cup1_count": recipe.cup1_count,
-        "intermediate_dims": list(recipe.intermediate_dims),
+        "intermediate_dims": list(dims),
         "justification": [{"rule": step.rule, "dim": step.dim} for step in chain],
     }
-    dims = " -> ".join(str(d) for d in (recipe.base_dim, *recipe.intermediate_dims))
     lines = [
-        f"degree {ns.degree}: stage (n={t.n}, j={t.j}, i={t.i})",
+        _degree_line(ns.degree, t),
         f"base RP^{recipe.base_dim}, cup-2 steps {recipe.cup2_count}, "
         f"cup-1 steps {recipe.cup1_count}",
-        f"dimensions {dims}",
+        "dimensions " + " -> ".join(map(str, (recipe.base_dim, *dims))),
     ]
     if ns.expand:
         result["term"] = expand(recipe)
@@ -204,7 +208,7 @@ _CHECK_RUNNERS: dict[str, Callable[[int], Any]] = {
 
 def _cmd_verify(ns: argparse.Namespace) -> _Outcome:
     names = list(_CHECK_RUNNERS) if ns.check == "all" else [ns.check]
-    if "product" in names and ns.cap > _RING_SERIES_MAX_CAP:
+    if ns.cap > _RING_SERIES_MAX_CAP and {"product", "quotients"} & set(names):
         degree = _RING_SERIES_MAX_CAP + 1
         raise OverflowError(f"coefficient in degree {degree} exceeds the 64-bit bound")
     payload = []

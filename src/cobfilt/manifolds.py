@@ -109,11 +109,6 @@ def stage_recipe(t: StageTriple) -> CupRecipe:
     return CupRecipe(4 * (t.n - 1), (2,) * t.j + (1,) * t.i)
 
 
-def recipe_dimension(r: CupRecipe) -> int:
-    """Dimension of the manifold the recipe constructs."""
-    return (r.base_dim, *r.intermediate_dims)[-1]
-
-
 # Cup-m of a term T renders as P(m,T): the text before T for each m, and after it.
 _CUP_OPEN = {1: "P(1,", 2: "P(2,"}
 _CUP_CLOSE = ")"
@@ -158,16 +153,11 @@ def indecomposable(r: CupRecipe) -> tuple[Justification, ...]:
     hand-built recipes.
     """
     chain = [Justification("base-axiom", r.base_dim)]
-    d = r.base_dim
-    for m in r.steps:
-        if m == 2:
-            if d % 2:
-                raise RuleNotApplicableError(
-                    f"cup-2 preserves indecomposability only in even dimension, got {d}"
-                )
-            chain.append(Justification("cup-2-even", d))
-            d = 2 * d + 2
-        else:
-            chain.append(Justification("cup-1", d))
-            d = 2 * d + 1
+    # each step applies to the dimension before it
+    for m, d in zip(r.steps, (r.base_dim, *r.intermediate_dims)):
+        if m == 2 and d % 2:
+            raise RuleNotApplicableError(
+                f"cup-2 preserves indecomposability only in even dimension, got {d}"
+            )
+        chain.append(Justification("cup-2-even" if m == 2 else "cup-1", d))
     return tuple(chain)

@@ -97,9 +97,6 @@ class TruncatedSeries:
         """The series of the unit algebra: 1 in degree 0, nothing above."""
         return cls(_unit_list(cap))
 
-    def __getitem__(self, t: int) -> int:
-        return self.coeffs[t]
-
 
 def _unit_list(cap: int) -> list[int]:
     # The unit series' coefficients, and the cap guard of every builder here.

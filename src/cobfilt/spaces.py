@@ -3,8 +3,8 @@ complexes of the filtration stages, at the level of exact dimension
 counts.
 
 The dual Steenrod algebra A_* is polynomial on classes xi_k in degrees
-2^k - 1; an independent count of the same dimensions enumerates Milnor
-basis monomials directly, each as its exponent tuple (e_1, ..., e_k).
+2^k - 1, so its degree-t dimension counts the partitions of t into
+parts 2^k - 1.
 
 A filtration stage (n, j, i) contributes the Thom-complex homology
 A_* (x) Z/2[one generator per stage up to this one], and since the
@@ -43,37 +43,6 @@ def steenrod_series(cap: int) -> TruncatedSeries:
     """Dimension series of the dual Steenrod algebra up to cap: polynomial
     on xi_k in degree 2^k - 1 for every k with 2^k - 1 <= cap."""
     return series_of(_steenrod_spec(cap), cap)
-
-
-def milnor_monomials(t: int) -> list[tuple[int, ...]]:
-    """All Milnor basis monomials of degree t, as exponent tuples (e_1, ..., e_k)
-    with e_k > 0; the empty tuple is the unit.
-
-    Enumerates exponent sequences with sum e_k (2^k - 1) = t by direct
-    recursion, largest xi_1 exponent first; this is the independent
-    count the series route is checked against.  A sequence ends only when
-    its last exponent brought the remainder to 0, so that exponent is
-    nonzero.
-    """
-    if t < 0:
-        raise ValueError(f"degree must be >= 0, got {t}")
-    results: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def extend(k: int, remaining: int) -> None:
-        if remaining == 0:
-            results.append(tuple(prefix))
-            return
-        weight = (1 << k) - 1
-        if weight > remaining:
-            return
-        for e in range(remaining // weight, -1, -1):
-            prefix.append(e)
-            extend(k + 1, remaining - e * weight)
-            prefix.pop()
-
-    extend(1, t)
-    return results
 
 
 @lru_cache(maxsize=None)

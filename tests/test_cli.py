@@ -328,7 +328,9 @@ def _overflow(degree):
 # Every domain error exits 2 with its code and message.  The last stage at
 # cap 417 carries every generator and its homology needs more than 64 bits in
 # degree 417; its homotopy series, like the ring series, only in degree 540.
-# verify --check product|all is refused above cap 539 before any work.
+# verify --check product|quotients|all is refused above cap 539 before any
+# work: the ring series is the product check's result and the quotient
+# check's last stage.
 DOMAIN_ERRORS = [
     pytest.param(argv, code, message, id=" ".join(argv))
     for argv, (code, message) in (
@@ -337,6 +339,8 @@ DOMAIN_ERRORS = [
         (("verify", "--check", "all", "--cap", "560"), _overflow(540)),
         (("verify", "--check", "product", "--cap", "100000"), _overflow(540)),
         (("verify", "--check", "all", "--cap", "100000"), _overflow(540)),
+        (("verify", "--check", "quotients", "--cap", "541"), _overflow(540)),
+        (("verify", "--check", "quotients", "--cap", "100000"), _overflow(540)),
         (("decompose", "7"), ("EXCLUDED_DEGREE", "no generator in degree 7: 8 is a power of two")),
         (("recipe", "3"), ("EXCLUDED_DEGREE", "no generator in degree 3: 4 is a power of two")),
     )
@@ -365,7 +369,7 @@ def test_overflow_json_envelope(run_cli, envelope_validator, argv, code, message
 
 
 def test_ring_series_cap_limit_is_where_the_ring_series_overflows():
-    # the CLI's limit for product and all is the last cap the ring series fits
+    # the CLI's limit for product, quotients and all is the last cap the ring series fits
     limit = cli._RING_SERIES_MAX_CAP
     gens = [d for d in range(2, limit + 2) if not is_excluded(d)]
     series_of(AlgebraSpec.polynomial(*gens), limit)
@@ -400,6 +404,18 @@ def test_golden_table_16(run_cli):
     code, out, _ = run_cli("table", "16")
     assert code == 0
     assert out == (GOLDEN / "table_16.txt").read_text()
+
+
+def test_golden_recipe_13_expand(run_cli):
+    code, out, _ = run_cli("recipe", "13", "--expand")
+    assert code == 0
+    assert out == (GOLDEN / "recipe_13_expand.txt").read_text()
+
+
+def test_golden_recipe_13_expand_json(run_cli):
+    code, out, _ = run_cli("recipe", "13", "--expand", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "recipe_13_expand.json").read_text()
 
 
 def test_golden_decompose_7(run_cli):
@@ -479,8 +495,8 @@ def test_the_module_parser_carries_nothing_between_calls(run_cli):
 
 COMMANDS = ("decompose", "recipe", "table", "series", "verify")
 # Degrees, caps and table bounds stay <= 32 so each call is fast.  A large
-# cap for verify --check quotients|simple-system|bijection still runs for as
-# long as its cap asks (simple-system grows as cap^2) and is not covered here.
+# cap for verify --check simple-system|bijection still runs for as long as
+# its cap asks (simple-system grows as cap^2) and is not covered here.
 NUMBER = st.integers(-3, 32).map(str)
 STAGE = st.tuples(*[st.integers(0, 4)] * 3).map(lambda t: ",".join(map(str, t)))
 # Junk holds no decimal digits, so no junk token parses as a large number.

@@ -12,8 +12,12 @@ from cobfilt.manifolds import (
     expand,
     indecomposable,
     plan,
-    recipe_dimension,
 )
+
+
+def dimension(r):
+    """The dimension a recipe reaches: the last of its base and intermediate dims."""
+    return (r.base_dim, *r.intermediate_dims)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +39,7 @@ from cobfilt.manifolds import (
 def test_plan_known_degrees(degree, base, cup2, cup1):
     r = plan(degree)
     assert (r.base_dim, r.cup2_count, r.cup1_count) == (base, cup2, cup1)
-    assert recipe_dimension(r) == degree
+    assert dimension(r) == degree
 
 
 def test_plan_rejects_excluded_degrees():
@@ -47,7 +51,7 @@ def test_plan_rejects_excluded_degrees():
 def test_plan_reaches_its_degree(d):
     assume(not is_excluded(d))
     r = plan(d)
-    assert recipe_dimension(r) == d
+    assert dimension(r) == d
     t = decompose(d)
     if t.n == 1:
         assert r.base_dim == 2
@@ -73,12 +77,13 @@ def test_plan_applies_cup2_only_to_even_dimensions(d):
 
 
 def test_recipe_dimension_base_only():
-    assert recipe_dimension(CupRecipe(2)) == 2
+    assert CupRecipe(2).intermediate_dims == ()
+    assert dimension(CupRecipe(2)) == 2
 
 
 def test_recipe_dimension_folds_both_steps():
-    assert recipe_dimension(CupRecipe(2, (2, 1))) == 13
-    assert recipe_dimension(CupRecipe(4, (1, 1))) == 19
+    assert dimension(CupRecipe(2, (2, 1))) == 13
+    assert dimension(CupRecipe(4, (1, 1))) == 19
 
 
 @given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 6))
@@ -87,7 +92,7 @@ def test_recipe_dimension_closed_form(half_base, cup2, cup1):
     r = CupRecipe(base, (2,) * cup2 + (1,) * cup1)
     assert (r.cup2_count, r.cup1_count) == (cup2, cup1)
     after_cup2 = (base + 2) * 2**cup2 - 2
-    assert recipe_dimension(r) == (after_cup2 + 1) * 2**cup1 - 1
+    assert dimension(r) == (after_cup2 + 1) * 2**cup1 - 1
 
 
 def test_intermediate_dims_track_each_step():
@@ -142,7 +147,7 @@ def test_parse_keeps_hand_built_step_order():
     r = CupRecipe(2, (1, 2))
     assert read_term(expand(r)) == (2, (2, 1))
     assert r.intermediate_dims == (5, 12)
-    assert recipe_dimension(r) == 12
+    assert dimension(r) == 12
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,9 @@
-"""The two scripts run end to end on the kernels they import."""
+"""The walkthrough script runs end to end on the kernels it imports."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from cobfilt.degrees import stages_up_to_degree
 
@@ -30,11 +28,3 @@ def test_stage_walkthrough_confirms_every_quotient():
     assert "MISMATCH" not in proc.stdout
     assert proc.stdout.count("[ok]") == len(stages_up_to_degree(24))
 
-
-def test_steenrod_dimensions_agree_by_both_routes():
-    proc = run_script("steenrod_dimensions.py")
-    assert proc.returncode == 0, proc.stderr
-    assert "MISMATCH" not in proc.stdout
-    # header plus one row per degree 0..12 before the monomial listing
-    table = proc.stdout.split("\n\n")[0].splitlines()
-    assert len(table) == 14

@@ -7,7 +7,6 @@ from cobfilt.degrees import BASE, StageTriple, stages_up_to_degree
 from cobfilt.series import AlgebraSpec, exact_div, mul, series_of
 from cobfilt.spaces import (
     adams_homotopy_series,
-    milnor_monomials,
     stage_generator_degrees,
     steenrod_series,
     thom_homology_series,
@@ -36,33 +35,11 @@ def test_negative_steenrod_cap_rejected():
     assert str(raised.value) == "cap must be >= 0, got -1"
 
 
-def test_milnor_monomials_degree_three():
-    assert milnor_monomials(3) == [(3,), (0, 1)]
-
-
-def test_milnor_monomials_degree_zero():
-    assert milnor_monomials(0) == [()]
-
-
-def test_milnor_monomials_degree_six():
-    assert milnor_monomials(6) == [(6,), (3, 1), (0, 2)]
-
-
-@given(st.integers(0, 40))
-def test_milnor_count_matches_series(t):
-    monomials = milnor_monomials(t)
-    assert len(monomials) == steenrod_series(40)[t]
-    # xi_k lies in degree 2^k - 1; no monomial carries a trailing zero exponent
-    assert all(sum(e * (2**k - 1) for k, e in enumerate(m, start=1)) == t for m in monomials)
-    assert all(m[-1] > 0 for m in monomials if m)
-    assert all(e >= 0 for m in monomials for e in m)
-    assert len(set(monomials)) == len(monomials)
-
-
-@given(st.integers(0, 30))
-def test_milnor_monomials_sorted_descending(t):
-    exps = milnor_monomials(t)
-    assert exps == sorted(exps, reverse=True)
+@pytest.mark.parametrize("cap", [0, 1, 2, 40, 539, 1000])
+def test_steenrod_series_counts_partitions_into_xi_degrees(cap):
+    # the Euler transform of partition_dp shares no kernel with series_of's running sums
+    parts = [2**k - 1 for k in range(1, 11) if 2**k - 1 <= cap]
+    assert steenrod_series(cap).coeffs == partition_dp(parts, cap).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +105,7 @@ def test_thom_series_dominates_steenrod():
     A = steenrod_series(cap)
     for entry in stages_up_to_degree(cap):
         th = thom_homology_series(entry.triple, cap)
-        assert all(th[t] >= A[t] for t in range(cap + 1))
+        assert all(th.coeffs[t] >= A.coeffs[t] for t in range(cap + 1))
 
 
 def test_homotopy_series_first_stages():
