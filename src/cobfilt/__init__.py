@@ -23,6 +23,7 @@ from .degrees import (
     compose,
     decompose,
     is_excluded,
+    iter_stages,
     stages_up_to_degree,
 )
 from .manifolds import (
@@ -41,6 +42,7 @@ from .series import (
     exact_div,
     mul,
     ratio_polynomial,
+    series_coeffs,
     series_of,
     simple_system_series,
 )

@@ -4,7 +4,10 @@ models, and verification suite.
 Every command emits one output envelope, as aligned text or as JSON
 with sorted keys, and state flows only through flags.  Exit codes:
 0 success, 1 verification failure, 2 domain error, 64 usage error,
-70 internal error, 74 stdout closed before the output was written.
+70 internal error, 74 stdout closed before all the output was written.
+Commands return before anything is written; table alone makes its rows
+while main writes them, which is safe because it cannot fail once its
+argument parses (see main).
 Every error code comes from the one table in `main`: EXCLUDED_DEGREE
 and COEFFICIENT_OVERFLOW (2), MISSING_STAGE and USAGE (64), and
 INTERNAL (70, with the traceback on stderr).  A usage error prints
@@ -21,7 +24,8 @@ import json
 import os
 import sys
 import traceback
-from typing import Any, Callable
+from itertools import chain, islice, repeat, tee
+from typing import Any, Callable, Iterable, Iterator
 
 from .checks import (
     verify_bijection,
@@ -29,7 +33,7 @@ from .checks import (
     verify_quotient_steps,
     verify_simple_systems,
 )
-from .degrees import ExcludedDegreeError, StageTriple, compose, decompose, stages_up_to_degree
+from .degrees import ExcludedDegreeError, StageTriple, compose, decompose, iter_stages
 from .manifolds import expand, indecomposable, stage_recipe, table_terms
 from .spaces import adams_homotopy_series, steenrod_series, thom_homology_series
 
@@ -43,7 +47,12 @@ EXIT_IOERR = 74
 DEFAULT_CAP = 64
 
 # What a command returns: exit status, the envelope's result, the text lines.
-_Outcome = tuple[int, dict, list[str]]
+# The lines, and a result's "rows" when it is the result's last key, may be
+# iterators that main consumes as it writes.
+_Outcome = tuple[int, dict, Iterable[str]]
+# Pieces of output per write: 4096 lines of text, or 2048 rows of JSON,
+# where a row and the separator before it are two pieces.
+_CHUNK = 4096
 
 
 class _UsageError(Exception):
@@ -73,6 +82,16 @@ _ERRORS: tuple[tuple[type[Exception], int, str], ...] = (
 # computes it, and the quotient check's last stage is it, so product,
 # quotients and all are refused above it before any work.
 _RING_SERIES_MAX_CAP = 539
+# A_* fits in 64 bits through this degree, so series steenrod and series
+# homology, which holds A_* as a tensor factor, are refused above it.
+_STEENROD_MAX_CAP = 29780
+
+
+def _refuse_above(cap: int, limit: int) -> None:
+    """Raise the overflow a computation up to cap would end in, when cap
+    passes the limit of a series that first overflows in degree limit + 1."""
+    if cap > limit:
+        raise OverflowError(f"coefficient in degree {limit + 1} exceeds the 64-bit bound")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,34 +182,51 @@ def _cmd_recipe(ns: argparse.Namespace) -> _Outcome:
     return EXIT_OK, result, lines
 
 
+# An item of result["rows"] as json.dumps(envelope, sort_keys=True, indent=2)
+# renders it, three levels deep: the keys sorted, the stage's too.  A term
+# holds only letters, digits, ^, commas and parentheses, so it needs no escape.
+_JSON_ROW = (
+    "      {{\n"
+    '        "degree": {},\n'
+    '        "stage": {{\n'
+    '          "i": {},\n'
+    '          "j": {},\n'
+    '          "n": {}\n'
+    "        }},\n"
+    '        "term": "{}"\n'
+    "      }}"
+)
+
+
 def _cmd_table(ns: argparse.Namespace) -> _Outcome:
-    table = stages_up_to_degree(ns.max_degree)
-    terms = table_terms(table)
-    result: dict = {"max_degree": ns.max_degree}
-    lines = []
+    # Lazy: main writes the rows as they are made (see its docstring).
+    entries, for_terms = tee(iter_stages(ns.max_degree))
+    rows = zip(entries, table_terms(for_terms))
     if ns.json:  # the envelope is built from result alone, the text from lines alone
-        result["rows"] = [
-            {"degree": degree, "stage": _stage_json(triple), "term": term}
-            for (degree, triple), term in zip(table, terms)
-        ]
-    else:
-        lines.append(f"{'degree':<8}{'stage':<12}recipe")
-        lines += [
-            f"{degree:<8}{_stage_text(triple):<12}{term}"
-            for (degree, triple), term in zip(table, terms)
-        ]
-        lines.append(f"{len(terms)} generator(s) up to degree {ns.max_degree}")
-    return EXIT_OK, result, lines
+        rendered = (_JSON_ROW.format(d, i, j, n, term) for (d, (n, j, i)), term in rows)
+        return EXIT_OK, {"max_degree": ns.max_degree, "rows": rendered}, []
+    return EXIT_OK, {"max_degree": ns.max_degree}, _table_lines(rows, ns.max_degree)
+
+
+def _table_lines(rows: Iterator, max_degree: int) -> Iterator[str]:
+    yield f"{'degree':<8}{'stage':<12}recipe"
+    count = 0
+    for count, ((degree, (n, j, i)), term) in enumerate(rows, 1):
+        yield f"{degree:<8}{f'({n},{j},{i})':<12}{term}"
+    yield f"{count} generator(s) up to degree {max_degree}"
 
 
 def _cmd_series(ns: argparse.Namespace) -> _Outcome:
     if ns.what == "steenrod":
+        _refuse_above(ns.cap, _STEENROD_MAX_CAP)
         series = steenrod_series(ns.cap)
         label = f"steenrod cap {ns.cap}"
     else:
         if ns.stage is None:
             message = f"--stage is required for {ns.what}"
             raise _MissingStage(message, f"{_PARSER.prog} series: error: {message}\n")
+        if ns.what == "homology":
+            _refuse_above(ns.cap, _STEENROD_MAX_CAP)
         fn = adams_homotopy_series if ns.what == "homotopy" else thom_homology_series
         series = fn(ns.stage, ns.cap)
         label = f"{ns.what} stage {_stage_text(ns.stage)} cap {ns.cap}"
@@ -208,9 +244,8 @@ _CHECK_RUNNERS: dict[str, Callable[[int], Any]] = {
 
 def _cmd_verify(ns: argparse.Namespace) -> _Outcome:
     names = list(_CHECK_RUNNERS) if ns.check == "all" else [ns.check]
-    if ns.cap > _RING_SERIES_MAX_CAP and {"product", "quotients"} & set(names):
-        degree = _RING_SERIES_MAX_CAP + 1
-        raise OverflowError(f"coefficient in degree {degree} exceeds the 64-bit bound")
+    if {"product", "quotients"} & set(names):
+        _refuse_above(ns.cap, _RING_SERIES_MAX_CAP)
     payload = []
     lines = []
     failures = 0
@@ -268,8 +303,51 @@ _COMMANDS = tuple(_sub.choices)
 del _sub, _p
 
 
+def _envelope_pieces(envelope: dict) -> Iterator[str]:
+    """json.dumps(envelope, sort_keys=True, indent=2) and a newline, in pieces.
+
+    A result whose "rows" is an iterator of items already rendered at
+    their depth, as table's is, streams: rows is the result's last key
+    and "status" the only key after the result, so the envelope dumped
+    with no rows ends in the rows' "[]", and the items go between its
+    brackets as they come.
+    """
+    rows = envelope.get("result", {}).get("rows")
+    if not isinstance(rows, Iterator):
+        yield json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        return
+    envelope["result"]["rows"] = []
+    head, _, tail = json.dumps(envelope, sort_keys=True, indent=2).rpartition("[]")
+    first = next(rows, None)
+    if first is None:
+        yield head + "[]" + tail + "\n"
+        return
+    key_line = head[head.rfind("\n") + 1 :]
+    yield head + "[\n" + first
+    yield from chain.from_iterable(zip(repeat(",\n"), rows))
+    yield "\n" + key_line[: len(key_line) - len(key_line.lstrip())] + "]" + tail + "\n"
+
+
+def _write(pieces: Iterable[str], end: str) -> None:
+    """Write each piece and end after it to stdout, a chunk of pieces per
+    write, and flush."""
+    pieces = iter(pieces)
+    while chunk := list(islice(pieces, _CHUNK)):
+        sys.stdout.write(end.join(chunk) + end)
+    sys.stdout.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; the only place that writes its output or picks its exit status."""
+    """Run one command; the only place that writes its output or picks its exit status.
+
+    A command returns before anything is written, so every error it
+    raises becomes an error envelope.  table is the one command whose
+    work runs while main writes: its rows are made lazily and written in
+    chunks, so its memory stays bounded whatever the bound.  That is safe
+    because table cannot fail once its argument parses: it is integer
+    arithmetic and string formatting over the stage loop, and the only
+    way its output can end early is a closed stdout, which exits 74.
+    """
     argv = sys.argv[1:] if argv is None else argv
     # Until argv parses, only a leading command name with a literal --json asks for an envelope.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
@@ -282,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse printed the help text
         return int(exc.code or 0)
     except Exception as exc:
-        # Commands print nothing themselves, so nothing reached stdout yet.
+        # Commands return before anything is written, so nothing reached stdout yet.
         status, code = next((s, c) for cls, s, c in _ERRORS if isinstance(exc, cls))
         key, value = "error", {"code": code, "message": str(exc)}
         lines = [f"error {code}: {exc}"]
@@ -294,13 +372,13 @@ def main(argv: list[str] | None = None) -> int:
     if as_json:
         status_word = "ok" if key == "result" else "error"
         envelope = {"command": command, "parameters": parameters, "status": status_word, key: value}
-        text = json.dumps(envelope, sort_keys=True, indent=2)
+        pieces, end = _envelope_pieces(envelope), ""
     else:
-        text = "\n".join(lines)
+        pieces, end = lines, "\n"
     try:
-        print(text)
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader went away, as in `cobfilt table 10000 | head -1`
+        # table's rows are made here, as they are written; it cannot fail (see above).
+        _write(pieces, end)
+    except BrokenPipeError:  # the reader went away, as in `cobfilt table 100000 | head -1`
         # Point stdout at devnull so the interpreter's flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IOERR

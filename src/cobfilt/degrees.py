@@ -14,13 +14,13 @@ carries no generator.  Decomposition reads the triple straight off two
 Triples are ordered lexicographically, n first, then j, then i.  Note
 that this is not the degree order: the stage of degree 11 precedes the
 stage of degree 6.  The stage table up to a degree bound is a plain
-tuple of (degree, triple) entries in that order.
+tuple of (degree, triple) entries in that order, and iter_stages yields
+the same entries one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class ExcludedDegreeError(ValueError):
@@ -35,21 +35,34 @@ class BaseStageError(ValueError):
     """The base stage (1, 0, 0) has no generator degree."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class StageTriple:
-    """Filtration index (n, j, i); comparison is lexicographic."""
-
+class _Triple(NamedTuple):
     n: int
     j: int
     i: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.j < 0 or self.i < 0:
-            raise ValueError(f"invalid stage triple ({self.n}, {self.j}, {self.i})")
-        if self.n == 1 and self.j == 0 and self.i != 0:
-            raise ValueError(
-                f"(1, 0, {self.i}) is not a stage: with n = 1 only the base has j = 0"
-            )
+
+class StageTriple(_Triple):
+    """Filtration index (n, j, i); comparison is lexicographic.
+
+    A plain tuple underneath, so it compares, hashes and unpacks as
+    (n, j, i) does.  The constructor checks the indices; iter_stages,
+    whose loops make valid indices by construction, builds its triples
+    with tuple.__new__ and skips the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, j: int, i: int) -> StageTriple:
+        if n < 1 or j < 0 or i < 0:
+            raise ValueError(f"invalid stage triple ({n}, {j}, {i})")
+        if n == 1 and j == 0 and i != 0:
+            raise ValueError(f"(1, 0, {i}) is not a stage: with n = 1 only the base has j = 0")
+        return tuple.__new__(cls, (n, j, i))
+
+    @classmethod
+    def _make(cls, iterable) -> StageTriple:
+        # NamedTuple's _make, and _replace through it, would skip the check.
+        return cls(*iterable)
 
     @property
     def is_base(self) -> bool:
@@ -103,27 +116,32 @@ class TableEntry(NamedTuple):
     triple: StageTriple
 
 
-def stages_up_to_degree(bound: int) -> tuple[TableEntry, ...]:
+def iter_stages(bound: int) -> Iterator[TableEntry]:
     """All generator-bearing stages with degree <= bound, as (degree,
-    triple) entries in stage order.
+    triple) entries in stage order, one at a time.
 
     The loop bounds follow the degree formula: stage n starts at degree
-    4n - 4, the (n, j) family starts at (4n - 2) 2^j - 2, and i grows
-    until the degree leaves the window.  A bound below 2 gives an empty
-    table.  The degrees are exactly the non-excluded integers in
-    [2, bound], each once; that equality is a theorem and is checked by
-    the verification suite, not here.
+    4n - 4, each step in j takes the degree d of (n, j, 0) to 2d + 2,
+    each step in i takes d to 2d + 1, and each loop stops when the degree
+    leaves the window.  A bound below 2 gives nothing.  The degrees are
+    exactly the non-excluded integers in [2, bound], each once; that
+    equality is a theorem and is checked by the verification suite, not
+    here.
     """
-    entries: list[TableEntry] = []
+    new = tuple.__new__  # the loops make valid indices, so skip the constructors' checks
     n = 1
     while 4 * n - 4 <= bound:
         j = 1 if n == 1 else 0
-        while (4 * n - 2) * (1 << j) - 2 <= bound:
-            odd = (4 * n - 2) * (1 << j) - 1
-            i = 0
-            while odd * (1 << i) - 1 <= bound:
-                entries.append(TableEntry(odd * (1 << i) - 1, StageTriple(n, j, i)))
-                i += 1
-            j += 1
+        head = ((4 * n - 2) << j) - 2  # the degree of (n, j, 0)
+        while head <= bound:
+            degree, i = head, 0
+            while degree <= bound:
+                yield new(TableEntry, (degree, new(StageTriple, (n, j, i))))
+                degree, i = 2 * degree + 1, i + 1
+            head, j = 2 * head + 2, j + 1
         n += 1
-    return tuple(entries)
+
+
+def stages_up_to_degree(bound: int) -> tuple[TableEntry, ...]:
+    """The stage table up to bound: every entry of iter_stages(bound)."""
+    return tuple(iter_stages(bound))

@@ -22,15 +22,17 @@ order they apply; the step counts and intermediate dimensions are read
 off the steps.  Recipes are symbolic terms only; nothing here builds an
 actual cell or simplicial model.
 
-Cup-1 takes stage (n, j, i) to (n, j, i + 1), so a stage table's terms
-are rendered run by run: the first entry of each (n, j) run from its
-recipe, every later one as the cup-1 of the term before it.
+Cup-1 takes stage (n, j, i) to (n, j, i + 1) and cup-2 takes (n, j, 0)
+to (n, j + 1, 0), so a stage table's terms are rendered from the ones
+before them: each entry with i >= 1 as the cup-1 of the term before it,
+the first entry of each (n, j) run as the cup-2 of the first entry of
+run (n, j - 1), and only the first entry of each n from its recipe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .degrees import StageTriple, TableEntry, decompose
 
@@ -124,23 +126,28 @@ def expand(r: CupRecipe) -> str:
     return "".join([*opens, f"RP^{r.base_dim}", _CUP_CLOSE * len(opens)])
 
 
-def table_terms(table: Iterable[TableEntry]) -> list[str]:
-    """The term of each entry of a stage table, in its order.
+def table_terms(table: Iterable[TableEntry]) -> Iterator[str]:
+    """The term of each entry of a stage table, in its order, one at a time.
 
     The table must be in stage order from the start of each (n, j) run,
-    as stages_up_to_degree returns it.  Cup-1 takes degree d to 2d + 1,
-    which is the step from stage (n, j, i) to (n, j, i + 1), so each
-    entry with i >= 1 is the cup-1 of the entry before it: only the first
-    entry of a run is expanded from its recipe.
+    as iter_stages yields it.  Cup-1 takes degree d to 2d + 1, the step
+    from stage (n, j, i) to (n, j, i + 1), so each entry with i >= 1 is
+    the cup-1 of the entry before it.  Cup-2 takes d to 2d + 2, the step
+    from (n, j, 0) to (n, j + 1, 0), so the first entry of a run is the
+    cup-2 of the first entry of the run before it when that run is
+    (n, j - 1).  Only the first run of each n is expanded from its recipe.
     """
-    terms: list[str] = []
-    term = ""
-    cup1 = _CUP_OPEN[1]
-    for entry in table:
-        t = entry.triple
-        term = cup1 + term + _CUP_CLOSE if t.i else expand(stage_recipe(t))
-        terms.append(term)
-    return terms
+    cup1, cup2 = _CUP_OPEN[1], _CUP_OPEN[2]
+    head = term = ""
+    previous = None  # the stage of head, the first term of the last run
+    for _, t in table:
+        if t.i:
+            term = cup1 + term + _CUP_CLOSE
+        else:
+            n, j, _ = t
+            head = cup2 + head + _CUP_CLOSE if previous == (n, j - 1, 0) else expand(stage_recipe(t))
+            term, previous = head, t
+        yield term
 
 
 def indecomposable(r: CupRecipe) -> tuple[Justification, ...]:

@@ -156,15 +156,25 @@ def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
 
     Generators above the cap contribute the factor 1 and are skipped.
     """
+    return TruncatedSeries(series_coeffs(spec, cap))
+
+
+def series_coeffs(spec: AlgebraSpec, cap: int) -> tuple[int, ...]:
+    """The coefficients of series_of(spec, cap), not validated: they may
+    exceed 64 bits, for a caller that divides them back out."""
     coeffs = _unit_list(cap)
     _times_geometric(coeffs, spec.generators_below(cap))
-    return TruncatedSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def ratio_polynomial(a: TruncatedSeries, times: AlgebraSpec, over: AlgebraSpec) -> TruncatedSeries:
+def ratio_polynomial(
+    a: TruncatedSeries | tuple[int, ...], times: AlgebraSpec, over: AlgebraSpec
+) -> TruncatedSeries:
     """a times the Poincare series of times, divided by the Poincare series
     of over, on one list: the same quotient and the same NotDivisibleError
     as exact_div(mul(a, series_of(times, cap)), series_of(over, cap)).
+    a is a series or the bare coefficients of one, as series_coeffs
+    returns them, which are never validated.
 
     Dividing by 1 / (1 - t^d) is multiplying by 1 - t^d: one backward
     difference with stride d, taken from the top degree down so each step
@@ -173,8 +183,8 @@ def ratio_polynomial(a: TruncatedSeries, times: AlgebraSpec, over: AlgebraSpec) 
     lowest one is reported, as exact_div would.  Only the quotient is
     validated: the product may exceed 64 bits where the quotient does not.
     """
-    cap = a.cap
-    coeffs = list(a.coeffs)
+    coeffs = list(a.coeffs if isinstance(a, TruncatedSeries) else a)
+    cap = len(coeffs) - 1
     _times_geometric(coeffs, times.generators_below(cap))
     for d in over.generators_below(cap):
         for t in range(cap, d - 1, -1):

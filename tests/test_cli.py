@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import cobfilt.checks as checks
 from cobfilt import cli
-from cobfilt.degrees import decompose, is_excluded
-from cobfilt.manifolds import expand, plan
-from cobfilt.series import AlgebraSpec, TruncatedSeries, mul, series_of
+from cobfilt.degrees import decompose, is_excluded, stages_up_to_degree
+from cobfilt.manifolds import expand, plan, stage_recipe
+from cobfilt.series import U64_MAX, AlgebraSpec, TruncatedSeries, mul, series_of
+from cobfilt.spaces import steenrod_series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -146,6 +147,61 @@ def test_table_terms_match_the_recipe_of_each_degree(run_cli):
             assert term == expand(plan(int(degree)))
 
 
+def _buffered_table(bound):
+    """The table's output built whole, the way it was before it streamed:
+    (text, JSON), each row's term expanded from its own recipe."""
+    table = stages_up_to_degree(bound)
+    terms = [expand(stage_recipe(t)) for _, t in table]
+    lines = [f"{'degree':<8}{'stage':<12}recipe"]
+    lines += [f"{d:<8}{f'({t.n},{t.j},{t.i})':<12}{term}" for (d, t), term in zip(table, terms)]
+    lines.append(f"{len(table)} generator(s) up to degree {bound}")
+    rows = [
+        {"degree": d, "stage": {"n": t.n, "j": t.j, "i": t.i}, "term": term}
+        for (d, t), term in zip(table, terms)
+    ]
+    envelope = {
+        "command": "table",
+        "parameters": {"max_degree": bound, "format": "json"},
+        "status": "ok",
+        "result": {"max_degree": bound, "rows": rows},
+    }
+    return "\n".join(lines) + "\n", json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
+
+def _bounds_with_rows(counts):
+    # the least bound whose table has each row count: rows(N) = N - floor(log2(N + 1))
+    return [next(n for n in range(c, 2 * c + 4) if n - (n + 1).bit_length() + 1 == c) for c in counts]
+
+
+def _chunk_edge_bounds(chunk):
+    # Text writes a chunk per `chunk` lines, a header, the rows and a footer;
+    # JSON one per `chunk` pieces, 2 per row.  Take each edge and both sides.
+    text = [chunk - 3, chunk - 2, chunk - 1, 2 * chunk - 2]
+    json_ = [chunk // 2 - 1, chunk // 2, chunk // 2 + 1, chunk]
+    return _bounds_with_rows(c for c in text + json_ if c >= 0)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [range(301), _chunk_edge_bounds(cli._CHUNK), [10**4]],
+    ids=["0..300", "chunk edges", "10^4"],
+)
+def test_streamed_table_equals_the_buffered_render(run_cli, bounds):
+    for bound in bounds:
+        text, envelope = _buffered_table(bound)
+        assert run_cli("table", str(bound)) == (0, text, "")
+        assert run_cli("table", str(bound), "--json") == (0, envelope, "")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4])
+def test_streamed_table_is_whole_at_every_small_chunk_edge(run_cli, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    for bound in range(40):
+        text, envelope = _buffered_table(bound)
+        assert run_cli("table", str(bound)) == (0, text, "")
+        assert run_cli("table", str(bound), "--json") == (0, envelope, "")
+
+
 # ---------------------------------------------------------------------------
 # series
 
@@ -166,6 +222,13 @@ def test_series_homotopy_base_stage(run_cli_json):
     code, env = run_cli_json("series", "homotopy", "--stage", "1,0,0", "--cap", "3")
     assert code == 0
     assert env["result"]["coefficients"] == [1, 0, 0, 0]
+
+
+def test_series_homotopy_fits_where_a_star_does_not(run_cli_json):
+    # A_* first overflows in degree 29,781; the homotopy series 1/(1 - t^2) never does
+    code, env = run_cli_json("series", "homotopy", "--stage", "1,1,0", "--cap", "29781")
+    assert code == 0
+    assert env["result"]["coefficients"] == [1 - t % 2 for t in range(29782)]
 
 
 def test_series_homology(run_cli_json):
@@ -341,6 +404,10 @@ DOMAIN_ERRORS = [
         (("verify", "--check", "all", "--cap", "100000"), _overflow(540)),
         (("verify", "--check", "quotients", "--cap", "541"), _overflow(540)),
         (("verify", "--check", "quotients", "--cap", "100000"), _overflow(540)),
+        (("series", "steenrod", "--cap", "29781"), _overflow(29781)),
+        (("series", "steenrod", "--cap", "1000000"), _overflow(29781)),
+        (("series", "homology", "--stage", "1,0,0", "--cap", "29781"), _overflow(29781)),
+        (("series", "homology", "--stage", "105,0,0", "--cap", "1000000"), _overflow(29781)),
         (("decompose", "7"), ("EXCLUDED_DEGREE", "no generator in degree 7: 8 is a power of two")),
         (("recipe", "3"), ("EXCLUDED_DEGREE", "no generator in degree 3: 4 is a power of two")),
     )
@@ -375,6 +442,21 @@ def test_ring_series_cap_limit_is_where_the_ring_series_overflows():
     series_of(AlgebraSpec.polynomial(*gens), limit)
     with pytest.raises(OverflowError, match=f"degree {limit + 1} "):
         series_of(AlgebraSpec.polynomial(*gens), limit + 1)
+
+
+def test_steenrod_cap_limit_is_where_a_star_overflows(run_cli, monkeypatch):
+    # series steenrod and homology are refused above the last cap A_* fits,
+    # before any work: steenrod_series is never called there
+    limit = cli._STEENROD_MAX_CAP
+    assert steenrod_series(limit).coeffs[limit] <= U64_MAX
+    with pytest.raises(OverflowError, match=f"degree {limit + 1} "):
+        steenrod_series(limit + 1)
+    assert run_cli("series", "steenrod", "--cap", str(limit))[0] == 0
+    monkeypatch.setattr(cli, "steenrod_series", None)
+    monkeypatch.setattr(cli, "thom_homology_series", None)
+    code, message = _overflow(limit + 1)
+    for what in (("steenrod",), ("homology", "--stage", "2,0,0")):
+        assert run_cli("series", *what, "--cap", str(limit + 1)) == (2, f"error {code}: {message}\n", "")
 
 
 def test_unexpected_exception_is_internal(run_cli, envelope_validator, monkeypatch):
@@ -592,3 +674,19 @@ def test_closed_stdout_exits_74_without_a_traceback():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=120), err) == (74, b"")
+
+
+def test_table_piped_into_head_exits_74_without_a_traceback():
+    # `cobfilt table 100000 | head -1`: table streams, so its first chunk
+    # reaches head, and a later write meets the closed pipe
+    table = subprocess.Popen(
+        [sys.executable, "-m", "cobfilt", "table", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = subprocess.run(["head", "-1"], stdin=table.stdout, capture_output=True, timeout=120)
+    table.stdout.close()
+    err = table.stderr.read()
+    table.stderr.close()
+    assert (table.wait(timeout=120), err) == (74, b"")
+    assert head.stdout == b"degree  stage       recipe\n"

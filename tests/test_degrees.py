@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -11,6 +13,7 @@ from cobfilt.degrees import (
     compose,
     decompose,
     is_excluded,
+    iter_stages,
     stages_up_to_degree,
 )
 
@@ -220,3 +223,63 @@ def test_each_later_stage_of_a_run_follows_the_one_it_is_the_cup1_of(bound):
             before = table[k - 1]
             assert before.triple == StageTriple(n, j, i - 1)
             assert entry.degree == 2 * before.degree + 1
+
+
+# ---------------------------------------------------------------------------
+# the StageTriple contract: a checked constructor over a plain tuple
+
+
+@pytest.mark.parametrize(
+    "triple, message",
+    [
+        ((0, 1, 1), "invalid stage triple (0, 1, 1)"),
+        ((1, -1, 0), "invalid stage triple (1, -1, 0)"),
+        ((1, 1, -1), "invalid stage triple (1, 1, -1)"),
+        ((1, 0, 2), "(1, 0, 2) is not a stage: with n = 1 only the base has j = 0"),
+    ],
+)
+def test_invalid_triples_raise_their_messages(triple, message):
+    for build in (lambda: StageTriple(*triple), lambda: StageTriple._make(triple)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_replace_checks_the_new_triple():
+    assert StageTriple(1, 1, 0)._replace(j=0) == BASE
+    with pytest.raises(ValueError, match="not a stage"):
+        BASE._replace(i=2)
+
+
+def test_triple_repr_names_its_fields():
+    assert repr(StageTriple(2, 3, 0)) == "StageTriple(n=2, j=3, i=0)"
+    assert repr(BASE) == "StageTriple(n=1, j=0, i=0)"
+
+
+def test_triple_is_a_tuple_in_order_eq_and_hash():
+    t = StageTriple(2, 3, 1)
+    assert t == (2, 3, 1) and hash(t) == hash((2, 3, 1))
+    assert tuple(t) == (t.n, t.j, t.i) == (2, 3, 1)
+    assert BASE == (1, 0, 0) and BASE.is_base and not t.is_base
+    with pytest.raises(AttributeError):
+        t.n = 5
+
+
+def test_sorting_shuffled_triples_restores_the_table_order():
+    triples = [entry.triple for entry in stages_up_to_degree(2000)]
+    shuffled = triples[:]
+    random.Random(0).shuffle(shuffled)
+    assert shuffled != triples
+    assert sorted(shuffled) == triples
+
+
+def test_unchecked_stages_are_the_checked_triples_of_their_degrees():
+    # iter_stages skips the constructor's check, so compare each entry with
+    # the triple decompose builds, and rebuild it through the check.
+    count = 0
+    for entry in iter_stages(10**4):
+        degree, triple = entry
+        assert type(entry) is TableEntry and type(triple) is StageTriple
+        assert triple == decompose(degree) == StageTriple(*triple)
+        count += 1
+    assert count == len(stages_up_to_degree(10**4)) == 10**4 - 13
