@@ -8,9 +8,10 @@ with sorted keys, and state flows only through flags.  Exit codes:
 Commands return before anything is written; table alone makes its rows
 while main writes them, which is safe because it cannot fail once its
 argument parses (see main).
-Every error code comes from the one table in `main`: EXCLUDED_DEGREE
-and COEFFICIENT_OVERFLOW (2), MISSING_STAGE and USAGE (64), and
-INTERNAL (70, with the traceback on stderr).  A usage error prints
+Every error code comes from the one table in `main`: EXCLUDED_DEGREE,
+COEFFICIENT_OVERFLOW and CAP_LIMIT (2), MISSING_STAGE and USAGE (64),
+and INTERNAL (70, with the traceback on stderr).  main refuses a cap
+above its row of _CAP_LIMITS before any work.  A usage error prints
 usage on stderr, or, when the argv starts with a command and holds
 --json, a USAGE envelope with empty parameters.
 Options must be spelled out in full: no parser accepts a prefix such
@@ -68,30 +69,39 @@ class _MissingStage(_UsageError):
     """series homotopy|homology was asked for without --stage."""
 
 
+class _CapLimit(Exception):
+    """A cap above the work limit of a check whose numbers never overflow."""
+
+
 # Every error a command raises, mapped to its exit status and code: the
 # first row whose class matches wins, so Exception must stay last.
 _ERRORS: tuple[tuple[type[Exception], int, str], ...] = (
     (ExcludedDegreeError, EXIT_DOMAIN_ERROR, "EXCLUDED_DEGREE"),
     # TruncatedSeries refuses a coefficient beyond the u64 bound.
     (OverflowError, EXIT_DOMAIN_ERROR, "COEFFICIENT_OVERFLOW"),
+    (_CapLimit, EXIT_DOMAIN_ERROR, "CAP_LIMIT"),
     (_MissingStage, EXIT_USAGE, "MISSING_STAGE"),
     (_UsageError, EXIT_USAGE, "USAGE"),
     (Exception, EXIT_INTERNAL, "INTERNAL"),
 )
-# The ring series fits in 64 bits through this degree.  The product check
-# computes it, and the quotient check's last stage is it, so product,
-# quotients and all are refused above it before any work.
-_RING_SERIES_MAX_CAP = 539
-# A_* fits in 64 bits through this degree, so series steenrod and series
-# homology, which holds A_* as a tensor factor, are refused above it.
-_STEENROD_MAX_CAP = 29780
-
-
-def _refuse_above(cap: int, limit: int) -> None:
-    """Raise the overflow a computation up to cap would end in, when cap
-    passes the limit of a series that first overflows in degree limit + 1."""
-    if cap > limit:
-        raise OverflowError(f"coefficient in degree {limit + 1} exceeds the 64-bit bound")
+# The largest cap of each (command, --check or series kind) with a limit,
+# and the error main raises above it before any work: an OverflowError
+# names the degree the work would first overflow in, limit + 1, and a
+# _CapLimit the check whose time the limit bounds.
+_CAP_LIMITS: dict[tuple[str, str], tuple[int, type[Exception]]] = {
+    # The ring series first overflows in degree 540: the product check
+    # computes it, and the quotient check's last stage is it.
+    ("verify", "product"): (539, OverflowError),
+    ("verify", "quotients"): (539, OverflowError),
+    ("verify", "all"): (539, OverflowError),
+    # A_* first overflows in degree 29,781; the homology holds it as a tensor factor.
+    ("series", "steenrod"): (29780, OverflowError),
+    ("series", "homology"): (29780, OverflowError),
+    # Its time grows as cap^2: about 3.5 s at this cap.
+    ("verify", "simple-system"): (4000, _CapLimit),
+    # Its time and memory grow linearly: about 5 s and 314 MiB at this cap.
+    ("verify", "bijection"): (1_000_000, _CapLimit),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,15 +228,9 @@ def _table_lines(rows: Iterator, max_degree: int) -> Iterator[str]:
 
 def _cmd_series(ns: argparse.Namespace) -> _Outcome:
     if ns.what == "steenrod":
-        _refuse_above(ns.cap, _STEENROD_MAX_CAP)
         series = steenrod_series(ns.cap)
         label = f"steenrod cap {ns.cap}"
     else:
-        if ns.stage is None:
-            message = f"--stage is required for {ns.what}"
-            raise _MissingStage(message, f"{_PARSER.prog} series: error: {message}\n")
-        if ns.what == "homology":
-            _refuse_above(ns.cap, _STEENROD_MAX_CAP)
         fn = adams_homotopy_series if ns.what == "homotopy" else thom_homology_series
         series = fn(ns.stage, ns.cap)
         label = f"{ns.what} stage {_stage_text(ns.stage)} cap {ns.cap}"
@@ -244,8 +248,6 @@ _CHECK_RUNNERS: dict[str, Callable[[int], Any]] = {
 
 def _cmd_verify(ns: argparse.Namespace) -> _Outcome:
     names = list(_CHECK_RUNNERS) if ns.check == "all" else [ns.check]
-    if {"product", "quotients"} & set(names):
-        _refuse_above(ns.cap, _RING_SERIES_MAX_CAP)
     payload = []
     lines = []
     failures = 0
@@ -355,6 +357,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = _PARSER.parse_args(argv)
         command, as_json, parameters = ns.command, ns.json, _parameters(ns)
+        # Refused before any work: a series without its stage, then a cap above its limit.
+        kind = getattr(ns, "check", getattr(ns, "what", None))
+        if kind in ("homotopy", "homology") and ns.stage is None:
+            message = f"--stage is required for {kind}"
+            raise _MissingStage(message, f"{_PARSER.prog} series: error: {message}\n")
+        limit, error = _CAP_LIMITS.get((command, kind), (None, None))
+        if limit is not None and ns.cap > limit:
+            if error is OverflowError:
+                raise OverflowError(f"coefficient in degree {limit + 1} exceeds the 64-bit bound")
+            raise _CapLimit(f"cap {ns.cap} is above {limit}, the work limit of verify --check {kind}")
         status, result, lines = ns.func(ns)
         key, value = "result", result
     except SystemExit as exc:  # argparse printed the help text

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import cobfilt.checks as checks
 from cobfilt import cli
-from cobfilt.degrees import decompose, is_excluded, stages_up_to_degree
+from cobfilt.degrees import StageTriple, decompose, is_excluded, stages_up_to_degree
 from cobfilt.manifolds import expand, plan, stage_recipe
 from cobfilt.series import U64_MAX, AlgebraSpec, TruncatedSeries, mul, series_of
-from cobfilt.spaces import steenrod_series
+from cobfilt.spaces import steenrod_series, thom_homology_series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -393,7 +393,8 @@ def _overflow(degree):
 # degree 417; its homotopy series, like the ring series, only in degree 540.
 # verify --check product|quotients|all is refused above cap 539 before any
 # work: the ring series is the product check's result and the quotient
-# check's last stage.
+# check's last stage.  simple-system and bijection never overflow; they are
+# refused above their work limits.
 DOMAIN_ERRORS = [
     pytest.param(argv, code, message, id=" ".join(argv))
     for argv, (code, message) in (
@@ -408,6 +409,10 @@ DOMAIN_ERRORS = [
         (("series", "steenrod", "--cap", "1000000"), _overflow(29781)),
         (("series", "homology", "--stage", "1,0,0", "--cap", "29781"), _overflow(29781)),
         (("series", "homology", "--stage", "105,0,0", "--cap", "1000000"), _overflow(29781)),
+        (("verify", "--check", "simple-system", "--cap", "4001"),
+         ("CAP_LIMIT", "cap 4001 is above 4000, the work limit of verify --check simple-system")),
+        (("verify", "--check", "bijection", "--cap", "10000000"),
+         ("CAP_LIMIT", "cap 10000000 is above 1000000, the work limit of verify --check bijection")),
         (("decompose", "7"), ("EXCLUDED_DEGREE", "no generator in degree 7: 8 is a power of two")),
         (("recipe", "3"), ("EXCLUDED_DEGREE", "no generator in degree 3: 4 is a power of two")),
     )
@@ -435,28 +440,100 @@ def test_overflow_json_envelope(run_cli, envelope_validator, argv, code, message
     assert envelope["parameters"]["cap" if "--cap" in argv else "degree"] == int(argv[-1])
 
 
-def test_ring_series_cap_limit_is_where_the_ring_series_overflows():
-    # the CLI's limit for product, quotients and all is the last cap the ring series fits
-    limit = cli._RING_SERIES_MAX_CAP
-    gens = [d for d in range(2, limit + 2) if not is_excluded(d)]
-    series_of(AlgebraSpec.polynomial(*gens), limit)
-    with pytest.raises(OverflowError, match=f"degree {limit + 1} "):
-        series_of(AlgebraSpec.polynomial(*gens), limit + 1)
+def _ring_series(cap):
+    return series_of(AlgebraSpec.polynomial(*(d for d in range(2, cap + 1) if not is_excluded(d))), cap)
 
 
-def test_steenrod_cap_limit_is_where_a_star_overflows(run_cli, monkeypatch):
-    # series steenrod and homology are refused above the last cap A_* fits,
-    # before any work: steenrod_series is never called there
-    limit = cli._STEENROD_MAX_CAP
-    assert steenrod_series(limit).coeffs[limit] <= U64_MAX
-    with pytest.raises(OverflowError, match=f"degree {limit + 1} "):
-        steenrod_series(limit + 1)
-    assert run_cli("series", "steenrod", "--cap", str(limit))[0] == 0
-    monkeypatch.setattr(cli, "steenrod_series", None)
-    monkeypatch.setattr(cli, "thom_homology_series", None)
-    code, message = _overflow(limit + 1)
-    for what in (("steenrod",), ("homology", "--stage", "2,0,0")):
-        assert run_cli("series", *what, "--cap", str(limit + 1)) == (2, f"error {code}: {message}\n", "")
+# For each overflow row of cli._CAP_LIMITS, the series whose first overflow
+# sets the row's limit.
+LIMIT_SERIES = {
+    ("verify", "product"): _ring_series,
+    ("verify", "quotients"): _ring_series,
+    ("verify", "all"): _ring_series,
+    ("series", "steenrod"): steenrod_series,
+    ("series", "homology"): lambda cap: thom_homology_series(StageTriple(1, 0, 0), cap),
+}
+
+
+def _limit_argv(command, kind, cap):
+    if command == "verify":
+        return ("verify", "--check", kind, "--cap", str(cap))
+    return ("series", kind, *(("--stage", "1,0,0") if kind == "homology" else ()), "--cap", str(cap))
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    # every check runner and series function the CLI can call, made uncallable
+    for name in cli._CHECK_RUNNERS:
+        monkeypatch.setitem(cli._CHECK_RUNNERS, name, None)
+    for name in ("steenrod_series", "thom_homology_series", "adams_homotopy_series"):
+        monkeypatch.setattr(cli, name, None)
+
+
+@pytest.mark.parametrize("row", sorted(cli._CAP_LIMITS), ids=" ".join)
+def test_every_cap_limit_is_refused_before_any_work(run_cli, envelope_validator, no_work, row):
+    command, kind = row
+    limit, error = cli._CAP_LIMITS[row]
+    if error is OverflowError:
+        # the limit is tight: the row's series fits at it and overflows just above it
+        assert max(LIMIT_SERIES[row](limit).coeffs) <= U64_MAX
+        with pytest.raises(OverflowError, match=f"degree {limit + 1} "):
+            LIMIT_SERIES[row](limit + 1)
+    for cap in (limit + 1, 10**7):
+        argv = _limit_argv(command, kind, cap)
+        code, message = (
+            _overflow(limit + 1) if error is OverflowError
+            else ("CAP_LIMIT", f"cap {cap} is above {limit}, the work limit of verify --check {kind}")
+        )
+        assert run_cli(*argv) == (2, f"error {code}: {message}\n", "")
+        exit_code, out, err = run_cli(*argv, "--json")
+        assert (exit_code, err) == (2, "")
+        envelope = json.loads(out)
+        envelope_validator.validate(envelope)
+        parameters = {"cap": cap, "check": kind} if command == "verify" else {
+            "cap": cap, "what": kind, "stage": {"n": 1, "j": 0, "i": 0} if kind == "homology" else None
+        }
+        assert envelope == {
+            "command": command,
+            "parameters": {**parameters, "format": "json"},
+            "status": "error",
+            "error": {"code": code, "message": message},
+        }
+
+
+@pytest.mark.parametrize("row", sorted(cli._CAP_LIMITS), ids=" ".join)
+def test_every_cap_limit_admits_its_limit(run_cli, monkeypatch, row):
+    # at the limit the command runs: here on stand-ins that record their cap
+    command, kind = row
+    limit, _ = cli._CAP_LIMITS[row]
+    caps = []
+    for name in cli._CHECK_RUNNERS:
+        monkeypatch.setitem(
+            cli._CHECK_RUNNERS, name, lambda cap, name=name: caps.append(cap) or checks.CheckReport(name, cap)
+        )
+    monkeypatch.setattr(cli, "steenrod_series", lambda cap: caps.append(cap) or TruncatedSeries((1,)))
+    monkeypatch.setattr(cli, "thom_homology_series", lambda t, cap: caps.append(cap) or TruncatedSeries((1,)))
+    code, _, err = run_cli(*_limit_argv(command, kind, limit))
+    assert (code, err) == (0, "")
+    assert caps and set(caps) == {limit}
+
+
+@pytest.mark.parametrize("cap", ["4", "30000"])
+def test_missing_stage_is_reported_before_the_cap_limit(run_cli, envelope_validator, cap):
+    # 30000 is above series homology's row of the cap limits, but the stage is checked first
+    assert run_cli("series", "homology", "--cap", cap) == (
+        64, "", "cobfilt series: error: --stage is required for homology\n"
+    )
+    code, out, err = run_cli("series", "homology", "--cap", cap, "--json")
+    assert (code, err) == (64, "")
+    envelope = json.loads(out)
+    envelope_validator.validate(envelope)
+    assert envelope == {
+        "command": "series",
+        "parameters": {"cap": int(cap), "format": "json", "stage": None, "what": "homology"},
+        "status": "error",
+        "error": {"code": "MISSING_STAGE", "message": "--stage is required for homology"},
+    }
 
 
 def test_unexpected_exception_is_internal(run_cli, envelope_validator, monkeypatch):
@@ -543,6 +620,11 @@ def test_every_command_validates_against_the_envelope_schema(
     assert ("result" in envelope) != ("error" in envelope)
 
 
+def test_the_envelope_schema_lists_every_error_code(envelope_validator):
+    codes = envelope_validator.schema["properties"]["error"]["properties"]["code"]["enum"]
+    assert codes == [code for _, _, code in cli._ERRORS]
+
+
 @pytest.mark.parametrize("argv", ALL_JSON_INVOCATIONS[:6], ids=lambda a: " ".join(a))
 def test_json_keys_are_sorted(run_cli, argv):
     _, out, _ = run_cli(*argv, "--json")
@@ -576,10 +658,15 @@ def test_the_module_parser_carries_nothing_between_calls(run_cli):
 # argv fuzzing
 
 COMMANDS = ("decompose", "recipe", "table", "series", "verify")
-# Degrees, caps and table bounds stay <= 32 so each call is fast.  A large
-# cap for verify --check simple-system|bijection still runs for as long as
-# its cap asks (simple-system grows as cap^2) and is not covered here.
+# Degrees, series caps and table bounds stay <= 32 so each call is fast:
+# series homotopy and table have no limit, so a large number runs as long
+# as it asks.  verify --cap also draws above every verify row of
+# cli._CAP_LIMITS, where each check is refused before any work.
 NUMBER = st.integers(-3, 32).map(str)
+VERIFY_CAP = NUMBER | st.integers(
+    max(limit for (command, _), (limit, _) in cli._CAP_LIMITS.items() if command == "verify") + 1,
+    10**12,
+).map(str)
 STAGE = st.tuples(*[st.integers(0, 4)] * 3).map(lambda t: ",".join(map(str, t)))
 # Junk holds no decimal digits, so no junk token parses as a large number.
 JUNK = st.sampled_from(
@@ -601,7 +688,7 @@ OPTIONS = {
     "series": [("--stage", STAGE), ("--cap", NUMBER)],
     "verify": [
         ("--check", st.sampled_from(["all", "bijection", "product", "quotients", "simple-system"])),
-        ("--cap", NUMBER),
+        ("--cap", VERIFY_CAP),
     ],
 }
 
