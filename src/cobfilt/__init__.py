@@ -42,7 +42,6 @@ from .series import (
     exact_div,
     mul,
     ratio_polynomial,
-    series_coeffs,
     series_of,
     simple_system_series,
 )

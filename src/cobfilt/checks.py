@@ -5,8 +5,9 @@ never takes: exhaustive nested-loop enumeration of stage triples
 instead of valuation arithmetic, the Euler transform of the partition
 recurrence (partition_dp) and a stage-by-stage chain of general
 convolutions (mul) against the stride kernel of series_of, and general
-synthetic division (exact_div) between stages built from scratch.  A
-pass means independent computations agree coefficient by coefficient.
+synthetic division (exact_div) between stages built from scratch,
+against 1/(1 - t^d) in closed form.  A pass means independent
+computations agree coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -195,11 +196,15 @@ def verify_quotient_steps(cap: int) -> CheckReport:
     Every stage is built from scratch and divided by the previous one
     with the general exact_div, never by the stride kernels that built
     it, so a stage cannot agree with its predecessor by construction.
+    The prediction is 1/(1 - t^d) in closed form, 1 in every degree
+    divisible by d, so a wrong stride kernel cannot predict its own
+    wrong quotient.
     """
     previous = adams_homotopy_series(BASE, cap)
     for entry in stages_up_to_degree(cap):
         current = adams_homotopy_series(entry.triple, cap)
-        predicted = series_of(AlgebraSpec.polynomial(entry.degree), cap)
+        d = entry.degree
+        predicted = TruncatedSeries(tuple(([1] + [0] * (d - 1)) * (cap // d + 1))[: cap + 1])
         try:
             quotient = exact_div(current, previous)
         except NotDivisibleError as exc:

@@ -70,7 +70,7 @@ class _MissingStage(_UsageError):
 
 
 class _CapLimit(Exception):
-    """A cap above the work limit of a check whose numbers never overflow."""
+    """A cap above the work limit of a command whose time, not an overflow, bounds its cap."""
 
 
 # Every error a command raises, mapped to its exit status and code: the
@@ -87,16 +87,18 @@ _ERRORS: tuple[tuple[type[Exception], int, str], ...] = (
 # The largest cap of each (command, --check or series kind) with a limit,
 # and the error main raises above it before any work: an OverflowError
 # names the degree the work would first overflow in, limit + 1, and a
-# _CapLimit the check whose time the limit bounds.
+# _CapLimit the command whose time the limit bounds.
 _CAP_LIMITS: dict[tuple[str, str], tuple[int, type[Exception]]] = {
     # The ring series first overflows in degree 540: the product check
     # computes it, and the quotient check's last stage is it.
     ("verify", "product"): (539, OverflowError),
     ("verify", "quotients"): (539, OverflowError),
     ("verify", "all"): (539, OverflowError),
-    # A_* first overflows in degree 29,781; the homology holds it as a tensor factor.
+    # A_* first overflows in degree 29,781.
     ("series", "steenrod"): (29780, OverflowError),
-    ("series", "homology"): (29780, OverflowError),
+    # The worst stage runs about cap^2/2 stride steps: about 4 s at this cap.
+    ("series", "homology"): (8000, _CapLimit),
+    ("series", "homotopy"): (8000, _CapLimit),
     # Its time grows as cap^2: about 3.5 s at this cap.
     ("verify", "simple-system"): (4000, _CapLimit),
     # Its time and memory grow linearly: about 5 s and 314 MiB at this cap.
@@ -366,7 +368,8 @@ def main(argv: list[str] | None = None) -> int:
         if limit is not None and ns.cap > limit:
             if error is OverflowError:
                 raise OverflowError(f"coefficient in degree {limit + 1} exceeds the 64-bit bound")
-            raise _CapLimit(f"cap {ns.cap} is above {limit}, the work limit of verify --check {kind}")
+            name = f"verify --check {kind}" if command == "verify" else f"{command} {kind}"
+            raise _CapLimit(f"cap {ns.cap} is above {limit}, the work limit of {name}")
         status, result, lines = ns.func(ns)
         key, value = "result", result
     except SystemExit as exc:  # argparse printed the help text

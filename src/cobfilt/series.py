@@ -23,6 +23,8 @@ the nonzero terms, at most O(cap^2).
 Coefficients are plain Python integers validated against the unsigned
 64-bit bound at construction, so a count that outgrows the fixed-width
 contract raises OverflowError instead of silently corrupting a table.
+ratio_polynomial takes a validated series and validates only its result:
+the product on its list may exceed 64 bits where the quotient does not.
 A series is its coefficient tuple, and its cap is the top degree
 len(coeffs) - 1.  Every function that builds a series from nothing takes
 the cap as an explicit argument; there is no global precision.
@@ -156,25 +158,15 @@ def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
 
     Generators above the cap contribute the factor 1 and are skipped.
     """
-    return TruncatedSeries(series_coeffs(spec, cap))
-
-
-def series_coeffs(spec: AlgebraSpec, cap: int) -> tuple[int, ...]:
-    """The coefficients of series_of(spec, cap), not validated: they may
-    exceed 64 bits, for a caller that divides them back out."""
     coeffs = _unit_list(cap)
     _times_geometric(coeffs, spec.generators_below(cap))
-    return tuple(coeffs)
+    return TruncatedSeries(tuple(coeffs))
 
 
-def ratio_polynomial(
-    a: TruncatedSeries | tuple[int, ...], times: AlgebraSpec, over: AlgebraSpec
-) -> TruncatedSeries:
+def ratio_polynomial(a: TruncatedSeries, times: AlgebraSpec, over: AlgebraSpec) -> TruncatedSeries:
     """a times the Poincare series of times, divided by the Poincare series
     of over, on one list: the same quotient and the same NotDivisibleError
     as exact_div(mul(a, series_of(times, cap)), series_of(over, cap)).
-    a is a series or the bare coefficients of one, as series_coeffs
-    returns them, which are never validated.
 
     Dividing by 1 / (1 - t^d) is multiplying by 1 - t^d: one backward
     difference with stride d, taken from the top degree down so each step
@@ -183,7 +175,7 @@ def ratio_polynomial(
     lowest one is reported, as exact_div would.  Only the quotient is
     validated: the product may exceed 64 bits where the quotient does not.
     """
-    coeffs = list(a.coeffs if isinstance(a, TruncatedSeries) else a)
+    coeffs = list(a.coeffs)
     cap = len(coeffs) - 1
     _times_geometric(coeffs, times.generators_below(cap))
     for d in over.generators_below(cap):

@@ -18,11 +18,11 @@ by one running sum per stage generator, and the homotopy series runs the
 same running sums and then divides A_* back out by one backward
 difference per xi_k degree 2^k - 1, on one list.  That division is a
 real one: a homology series that A_* does not divide raises
-NotDivisibleError.  Only the quotient is validated: the homotopy route
-starts from A_*'s cached coefficients, unvalidated, so it overflows only
-where the homotopy series itself exceeds 64 bits, while A_* overflows
-from degree 29,781 on and the Thom series of a stage may overflow at a
-lower cap.
+NotDivisibleError.  A_* is validated, and it first overflows in degree
+29,781.  Of the homotopy route only the quotient is validated, not the
+product A_* times the stage algebra, so it overflows only where the
+homotopy series itself exceeds 64 bits, while the Thom series of a
+stage may overflow at a lower cap.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .degrees import StageTriple, TableEntry, stages_up_to_degree
-from .series import AlgebraSpec, TruncatedSeries, ratio_polynomial, series_coeffs
+from .series import AlgebraSpec, TruncatedSeries, ratio_polynomial, series_of
 
 
 def _steenrod_spec(cap: int) -> AlgebraSpec:
@@ -41,18 +41,11 @@ def _steenrod_spec(cap: int) -> AlgebraSpec:
 
 
 @lru_cache(maxsize=None)
-def _steenrod_coeffs(cap: int) -> tuple[int, ...]:
-    # A_*'s coefficients, once per cap and unvalidated: the homotopy route
-    # divides them back out, so they may exceed 64 bits where it does not.
-    return series_coeffs(_steenrod_spec(cap), cap)
-
-
-@lru_cache(maxsize=None)
 def steenrod_series(cap: int) -> TruncatedSeries:
     """Dimension series of the dual Steenrod algebra up to cap: polynomial
     on xi_k in degree 2^k - 1 for every k with 2^k - 1 <= cap.  Its
     coefficients first exceed 64 bits in degree 29,781."""
-    return TruncatedSeries(_steenrod_coeffs(cap))
+    return series_of(_steenrod_spec(cap), cap)
 
 
 @lru_cache(maxsize=None)
@@ -89,10 +82,10 @@ def adams_homotopy_series(t: StageTriple, cap: int) -> TruncatedSeries:
     The Adams spectral sequence for a complex whose homology is
     A_* (x) V collapses onto s = 0, so the homotopy count is the exact
     quotient of the homology series by the A_* series.  The homology is
-    built and divided on one list, and neither it nor A_* is validated,
-    so only the quotient must fit in 64 bits.  The division failing would
-    falsify the model, hence the propagated NotDivisibleError instead
-    of a fallback.
+    built and divided on one list.  A_* is validated, so the cap must stay
+    at most 29,780; the homology is not, so of the rest only the quotient
+    must fit in 64 bits.  The division failing would falsify the model,
+    hence the propagated NotDivisibleError instead of a fallback.
     """
     loop_factor = AlgebraSpec.polynomial(*stage_generator_degrees(t, cap))
-    return ratio_polynomial(_steenrod_coeffs(cap), loop_factor, _steenrod_spec(cap))
+    return ratio_polynomial(steenrod_series(cap), loop_factor, _steenrod_spec(cap))

@@ -12,7 +12,7 @@ from cobfilt.checks import (
     verify_quotient_steps,
     verify_simple_systems,
 )
-from cobfilt.degrees import stages_up_to_degree
+from cobfilt.degrees import StageTriple, stages_up_to_degree
 from cobfilt.series import AlgebraSpec, TruncatedSeries, mul, series_of
 
 
@@ -109,6 +109,19 @@ def test_bijection_fails_on_stage_for_excluded_degree():
     report = checks._bijection_report(entries, 16)
     assert not report.passed
     assert report.first_discrepancy.degree == 7
+
+
+def test_bijection_fails_when_decompose_disagrees_with_the_enumeration(monkeypatch):
+    original = checks.decompose
+    monkeypatch.setattr(checks, "decompose", lambda d: StageTriple(2, 0, 0) if d == 5 else original(d))
+    report = verify_bijection(16)
+    assert report.first_discrepancy == Discrepancy(5, [1, 1, 1], [2, 0, 0])
+
+
+def test_bijection_fails_on_a_stage_above_the_bound():
+    entries = checks._enumerate_triples(16) + [(17, (9, 9, 9))]
+    report = checks._bijection_report(entries, 16)
+    assert report.first_discrepancy == Discrepancy(17, "degree within [2, bound]", [[9, 9, 9]])
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +222,29 @@ def test_quotient_steps_report_a_stage_the_previous_one_does_not_divide(monkeypa
         [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0],
         "quotient coefficient in degree 2 would be -1",
     )
+
+
+@pytest.fixture
+def wrong_stride_kernel(monkeypatch):
+    # 1/(1 - 2t^d) for 1/(1 - t^d): wrong, but the same wrong factor everywhere,
+    # A_* included, so the stages still divide one another
+    def doubled(coeffs, degrees):
+        for d in degrees:
+            for t in range(d, len(coeffs)):
+                coeffs[t] += 2 * coeffs[t - d]
+
+    monkeypatch.setattr("cobfilt.series._times_geometric", doubled)
+    spaces.steenrod_series.cache_clear()
+    yield
+    spaces.steenrod_series.cache_clear()
+
+
+@pytest.mark.parametrize("cap", [16, 32])
+def test_quotient_steps_detect_a_consistently_wrong_stride_kernel(wrong_stride_kernel, cap):
+    # the stage (1,1,0) now reads 1, 1, 4, 7, ...; an oracle built by the same
+    # kernel would predict the same wrong quotients
+    report = verify_quotient_steps(cap)
+    assert report.first_discrepancy == Discrepancy(2, 1, 2)
 
 
 # The stage table up to 16 runs 2, 5, 11, 6, ... in stage order.  The table

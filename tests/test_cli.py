@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import cobfilt.checks as checks
 from cobfilt import cli
-from cobfilt.degrees import StageTriple, decompose, is_excluded, stages_up_to_degree
+from cobfilt.degrees import decompose, is_excluded, stages_up_to_degree
 from cobfilt.manifolds import expand, plan, stage_recipe
 from cobfilt.series import U64_MAX, AlgebraSpec, TruncatedSeries, mul, series_of
-from cobfilt.spaces import steenrod_series, thom_homology_series
+from cobfilt.spaces import steenrod_series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -224,13 +224,6 @@ def test_series_homotopy_base_stage(run_cli_json):
     assert env["result"]["coefficients"] == [1, 0, 0, 0]
 
 
-def test_series_homotopy_fits_where_a_star_does_not(run_cli_json):
-    # A_* first overflows in degree 29,781; the homotopy series 1/(1 - t^2) never does
-    code, env = run_cli_json("series", "homotopy", "--stage", "1,1,0", "--cap", "29781")
-    assert code == 0
-    assert env["result"]["coefficients"] == [1 - t % 2 for t in range(29782)]
-
-
 def test_series_homology(run_cli_json):
     code, env = run_cli_json("series", "homology", "--stage", "1,1,0", "--cap", "4")
     assert code == 0
@@ -393,8 +386,8 @@ def _overflow(degree):
 # degree 417; its homotopy series, like the ring series, only in degree 540.
 # verify --check product|quotients|all is refused above cap 539 before any
 # work: the ring series is the product check's result and the quotient
-# check's last stage.  simple-system and bijection never overflow; they are
-# refused above their work limits.
+# check's last stage.  simple-system, bijection and series homology|homotopy
+# are refused above their work limits.
 DOMAIN_ERRORS = [
     pytest.param(argv, code, message, id=" ".join(argv))
     for argv, (code, message) in (
@@ -407,8 +400,12 @@ DOMAIN_ERRORS = [
         (("verify", "--check", "quotients", "--cap", "100000"), _overflow(540)),
         (("series", "steenrod", "--cap", "29781"), _overflow(29781)),
         (("series", "steenrod", "--cap", "1000000"), _overflow(29781)),
-        (("series", "homology", "--stage", "1,0,0", "--cap", "29781"), _overflow(29781)),
-        (("series", "homology", "--stage", "105,0,0", "--cap", "1000000"), _overflow(29781)),
+        (("series", "homology", "--stage", "1,0,0", "--cap", "29781"),
+         ("CAP_LIMIT", "cap 29781 is above 8000, the work limit of series homology")),
+        (("series", "homology", "--stage", "105,0,0", "--cap", "1000000"),
+         ("CAP_LIMIT", "cap 1000000 is above 8000, the work limit of series homology")),
+        (("series", "homotopy", "--stage", "1,1,0", "--cap", "29781"),
+         ("CAP_LIMIT", "cap 29781 is above 8000, the work limit of series homotopy")),
         (("verify", "--check", "simple-system", "--cap", "4001"),
          ("CAP_LIMIT", "cap 4001 is above 4000, the work limit of verify --check simple-system")),
         (("verify", "--check", "bijection", "--cap", "10000000"),
@@ -451,14 +448,13 @@ LIMIT_SERIES = {
     ("verify", "quotients"): _ring_series,
     ("verify", "all"): _ring_series,
     ("series", "steenrod"): steenrod_series,
-    ("series", "homology"): lambda cap: thom_homology_series(StageTriple(1, 0, 0), cap),
 }
 
 
 def _limit_argv(command, kind, cap):
     if command == "verify":
         return ("verify", "--check", kind, "--cap", str(cap))
-    return ("series", kind, *(("--stage", "1,0,0") if kind == "homology" else ()), "--cap", str(cap))
+    return ("series", kind, *(() if kind == "steenrod" else ("--stage", "1,0,0")), "--cap", str(cap))
 
 
 @pytest.fixture
@@ -479,11 +475,12 @@ def test_every_cap_limit_is_refused_before_any_work(run_cli, envelope_validator,
         assert max(LIMIT_SERIES[row](limit).coeffs) <= U64_MAX
         with pytest.raises(OverflowError, match=f"degree {limit + 1} "):
             LIMIT_SERIES[row](limit + 1)
+    name = f"verify --check {kind}" if command == "verify" else f"series {kind}"
     for cap in (limit + 1, 10**7):
         argv = _limit_argv(command, kind, cap)
         code, message = (
             _overflow(limit + 1) if error is OverflowError
-            else ("CAP_LIMIT", f"cap {cap} is above {limit}, the work limit of verify --check {kind}")
+            else ("CAP_LIMIT", f"cap {cap} is above {limit}, the work limit of {name}")
         )
         assert run_cli(*argv) == (2, f"error {code}: {message}\n", "")
         exit_code, out, err = run_cli(*argv, "--json")
@@ -491,7 +488,7 @@ def test_every_cap_limit_is_refused_before_any_work(run_cli, envelope_validator,
         envelope = json.loads(out)
         envelope_validator.validate(envelope)
         parameters = {"cap": cap, "check": kind} if command == "verify" else {
-            "cap": cap, "what": kind, "stage": {"n": 1, "j": 0, "i": 0} if kind == "homology" else None
+            "cap": cap, "what": kind, "stage": None if kind == "steenrod" else {"n": 1, "j": 0, "i": 0}
         }
         assert envelope == {
             "command": command,
@@ -512,7 +509,8 @@ def test_every_cap_limit_admits_its_limit(run_cli, monkeypatch, row):
             cli._CHECK_RUNNERS, name, lambda cap, name=name: caps.append(cap) or checks.CheckReport(name, cap)
         )
     monkeypatch.setattr(cli, "steenrod_series", lambda cap: caps.append(cap) or TruncatedSeries((1,)))
-    monkeypatch.setattr(cli, "thom_homology_series", lambda t, cap: caps.append(cap) or TruncatedSeries((1,)))
+    for name in ("thom_homology_series", "adams_homotopy_series"):
+        monkeypatch.setattr(cli, name, lambda t, cap: caps.append(cap) or TruncatedSeries((1,)))
     code, _, err = run_cli(*_limit_argv(command, kind, limit))
     assert (code, err) == (0, "")
     assert caps and set(caps) == {limit}
@@ -658,15 +656,18 @@ def test_the_module_parser_carries_nothing_between_calls(run_cli):
 # argv fuzzing
 
 COMMANDS = ("decompose", "recipe", "table", "series", "verify")
-# Degrees, series caps and table bounds stay <= 32 so each call is fast:
-# series homotopy and table have no limit, so a large number runs as long
-# as it asks.  verify --cap also draws above every verify row of
-# cli._CAP_LIMITS, where each check is refused before any work.
+# Numbers draw from -3 to 32.  Only table has no limit, and its bounds stay
+# that small because its output grows with the bound.  series --cap and
+# verify --cap also draw above every row of their command in
+# cli._CAP_LIMITS, where each kind is refused before any work.
 NUMBER = st.integers(-3, 32).map(str)
-VERIFY_CAP = NUMBER | st.integers(
-    max(limit for (command, _), (limit, _) in cli._CAP_LIMITS.items() if command == "verify") + 1,
-    10**12,
-).map(str)
+
+
+def _cap_above_limits(command):
+    top = max(limit for (name, _), (limit, _) in cli._CAP_LIMITS.items() if name == command)
+    return NUMBER | st.integers(top + 1, 10**12).map(str)
+
+
 STAGE = st.tuples(*[st.integers(0, 4)] * 3).map(lambda t: ",".join(map(str, t)))
 # Junk holds no decimal digits, so no junk token parses as a large number.
 JUNK = st.sampled_from(
@@ -685,10 +686,10 @@ OPTIONS = {
     "decompose": [],
     "recipe": [("--expand",)],
     "table": [],
-    "series": [("--stage", STAGE), ("--cap", NUMBER)],
+    "series": [("--stage", STAGE), ("--cap", _cap_above_limits("series"))],
     "verify": [
         ("--check", st.sampled_from(["all", "bijection", "product", "quotients", "simple-system"])),
-        ("--cap", VERIFY_CAP),
+        ("--cap", _cap_above_limits("verify")),
     ],
 }
 
