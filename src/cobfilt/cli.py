@@ -16,6 +16,9 @@ usage on stderr, or, when the argv starts with a command and holds
 --json, a USAGE envelope with empty parameters.
 Options must be spelled out in full: no parser accepts a prefix such
 as --js, so a literal --json is the only way to ask for an envelope.
+An argv that starts with a command goes to that command's own parser;
+_PARSER speaks only for argv that do not start with a command: help, a
+missing command or an invalid one.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import os
 import sys
 import traceback
 from itertools import chain, islice, repeat, tee
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable, Iterator
 
 from .checks import (
@@ -303,12 +307,40 @@ _p.add_argument("--check", choices=["all", *_CHECK_RUNNERS], default="all")
 _p.add_argument("--cap", type=_verify_cap, default=DEFAULT_CAP)
 _p.add_argument("--json", action="store_true")
 _p.set_defaults(func=_cmd_verify)
-_COMMANDS = tuple(_sub.choices)
+# Each command's own parser, by name: main hands it the argv after the name,
+# as _PARSER's subcommand positional (nargs=PARSER) would, -h, -- and junk too.
+_COMMANDS: dict[str, argparse.ArgumentParser] = _sub.choices
 del _sub, _p
 
 
+def _dumps(value: Any, pad: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) byte for byte, each line
+    after the first opened by pad, without the stdlib's pure-Python encoder:
+    the C encoder ignores indent before Python 3.13."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if kind is dict and value and all(type(k) is str for k in value):
+        items = [f"{_quote(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if (kind is list or kind is tuple) and value:  # json renders a tuple as a list
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    # The rest as json renders it: a bool, None, a float, an empty container, a
+    # dict with a key that is not a str; a set still raises TypeError.
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+    return json.dumps(value)
+
+
 def _envelope_pieces(envelope: dict) -> Iterator[str]:
-    """json.dumps(envelope, sort_keys=True, indent=2) and a newline, in pieces.
+    """_dumps(envelope) and a newline, in pieces.
 
     A result whose "rows" is an iterator of items already rendered at
     their depth, as table's is, streams: rows is the result's last key
@@ -318,10 +350,10 @@ def _envelope_pieces(envelope: dict) -> Iterator[str]:
     """
     rows = envelope.get("result", {}).get("rows")
     if not isinstance(rows, Iterator):
-        yield json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        yield _dumps(envelope) + "\n"
         return
     envelope["result"]["rows"] = []
-    head, _, tail = json.dumps(envelope, sort_keys=True, indent=2).rpartition("[]")
+    head, _, tail = _dumps(envelope).rpartition("[]")
     first = next(rows, None)
     if first is None:
         yield head + "[]" + tail + "\n"
@@ -357,7 +389,13 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     as_json, parameters = command is not None and "--json" in argv, {}
     try:
-        ns = _PARSER.parse_args(argv)
+        if command is None:
+            ns = _PARSER.parse_args(argv)
+        else:
+            ns, extras = _COMMANDS[command].parse_known_args(argv[1:])
+            if extras:  # worded as _PARSER.parse_args words them
+                _PARSER.error("unrecognized arguments: " + " ".join(extras))
+            ns.command = command
         command, as_json, parameters = ns.command, ns.json, _parameters(ns)
         # Refused before any work: a series without its stage, then a cap above its limit.
         kind = getattr(ns, "check", getattr(ns, "what", None))

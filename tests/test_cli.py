@@ -254,6 +254,9 @@ def test_series_missing_stage_json_envelope(run_cli, envelope_validator, what):
     assert envelope["error"]["code"] == "MISSING_STAGE"
 
 
+TOP_USAGE = "usage: cobfilt [-h] {decompose,recipe,table,series,verify} ...\n"
+
+
 USAGE_ERRORS = [
     (("decompose", "abc"), "argument degree: not an integer: 'abc'"),
     (("recipe",), "the following arguments are required: degree"),
@@ -285,13 +288,51 @@ def test_usage_error_text_goes_to_stderr(run_cli):
         "cobfilt decompose: error: argument degree: not an integer: 'abc'\n",
     )
     # no envelope unless the argv starts with a command: there is none to name
-    top_usage = "usage: cobfilt [-h] {decompose,recipe,table,series,verify} ...\n"
     assert run_cli("--json") == (
-        64, "", top_usage + "cobfilt: error: the following arguments are required: command\n",
+        64, "", TOP_USAGE + "cobfilt: error: the following arguments are required: command\n",
     )
     code, out, err = run_cli("bogus", "--json")
     assert (code, out) == (64, "")
-    assert err.startswith(top_usage + "cobfilt: error: argument command: invalid choice: 'bogus'")
+    assert err.startswith(TOP_USAGE + "cobfilt: error: argument command: invalid choice: 'bogus'")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("decompose", "5"), ("recipe", "5"), ("table", "5"), ("series", "steenrod"), ("verify",)],
+    ids=lambda a: a[0],
+)
+def test_a_leftover_argument_gets_the_top_level_usage(run_cli, argv):
+    # Each command parses its own argv, but a leftover is reported as the top-level parser words it.
+    assert run_cli(*argv, "extra") == (
+        64, "", TOP_USAGE + "cobfilt: error: unrecognized arguments: extra\n"
+    )
+
+
+def test_the_argv_after_a_command_reaches_its_parser_whole(run_cli):
+    # --, -h and option-like tokens after the command all go to its parser.
+    assert run_cli("decompose", "--", "5") == (0, "degree 5: stage (n=1, j=1, i=1)\n", "")
+    assert run_cli("decompose", "5", "-h") == (
+        0,
+        "usage: cobfilt decompose [-h] [--json] degree\n"
+        "\n"
+        "positional arguments:\n"
+        "  degree\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --json\n",
+        "",
+    )
+    # an argv that does not start with a command is the top-level parser's
+    assert run_cli("--json", "decompose", "5") == (
+        64, "", TOP_USAGE + "cobfilt: error: unrecognized arguments: --json\n"
+    )
+    assert run_cli("bogus", "decompose") == (
+        64,
+        "",
+        TOP_USAGE + "cobfilt: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'decompose', 'recipe', 'table', 'series', 'verify')\n",
+    )
 
 
 def test_option_prefixes_are_usage_errors(run_cli):
@@ -587,6 +628,21 @@ def test_golden_verify_all_cap_64(run_cli):
     assert out == (GOLDEN / "verify_all_cap64.txt").read_text()
 
 
+# JSON golden files, each (exit, argv): an error envelope, a long list of
+# ints, and a list of dicts holding the product check's series.
+GOLDEN_JSON = {
+    "decompose_7.json": (2, ("decompose", "7")),
+    "series_homotopy_2_0_1_cap32.json": (0, ("series", "homotopy", "--stage", "2,0,1", "--cap", "32")),
+    "verify_all_cap16.json": (0, ("verify", "--check", "all", "--cap", "16")),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_JSON)
+def test_golden_json(run_cli, name):
+    code, argv = GOLDEN_JSON[name]
+    assert run_cli(*argv, "--json") == (code, (GOLDEN / name).read_text(), "")
+
+
 # ---------------------------------------------------------------------------
 # envelope schema and determinism
 
@@ -623,10 +679,40 @@ def test_the_envelope_schema_lists_every_error_code(envelope_validator):
     assert codes == [code for _, _, code in cli._ERRORS]
 
 
-@pytest.mark.parametrize("argv", ALL_JSON_INVOCATIONS[:6], ids=lambda a: " ".join(a))
+@pytest.mark.parametrize("argv", ALL_JSON_INVOCATIONS, ids=lambda a: " ".join(a))
 def test_json_keys_are_sorted(run_cli, argv):
     _, out, _ = run_cli(*argv, "--json")
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+# Text with the characters json escapes: quotes, backslashes, control and non-ASCII ones.
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600a') | st.characters())
+JSON_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | JSON_INTS | JSON_TEXT,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(JSON_TEXT, inner),
+        st.lists(JSON_INTS, min_size=1),  # the all-int fast path
+        st.lists(JSON_INTS, min_size=1).map(tuple),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200)
+@given(value=JSON_VALUE)
+def test_the_renderer_renders_as_the_stdlib(value):
+    # The stdlib is the oracle: _dumps must render every value as json does.
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_the_renderer_refuses_a_set_as_the_stdlib():
+    with pytest.raises(TypeError):
+        json.dumps({"a": [1, {2}]}, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._dumps({"a": [1, {2}]})
 
 
 def test_output_is_byte_identical_across_runs(run_cli):
@@ -656,11 +742,15 @@ def test_the_module_parser_carries_nothing_between_calls(run_cli):
 # argv fuzzing
 
 COMMANDS = ("decompose", "recipe", "table", "series", "verify")
-# Numbers draw from -3 to 32.  Only table has no limit, and its bounds stay
-# that small because its output grows with the bound.  series --cap and
-# verify --cap also draw above every row of their command in
-# cli._CAP_LIMITS, where each kind is refused before any work.
+# Numbers draw from -3 to 32.  decompose and recipe also draw degrees
+# log-uniform over [33, 10^7]: bit lengths uniform, then uniform within one.
+# table keeps NUMBER alone: it has no limit, and its output grows with the
+# bound.  series --cap and verify --cap also draw above every row of their
+# command in cli._CAP_LIMITS, where each kind is refused before any work.
 NUMBER = st.integers(-3, 32).map(str)
+DEGREE = NUMBER | st.integers(6, 24).flatmap(
+    lambda bits: st.integers(max(33, 1 << (bits - 1)), min(10**7, (1 << bits) - 1))
+).map(str)
 
 
 def _cap_above_limits(command):
@@ -676,8 +766,8 @@ JUNK = st.sampled_from(
      *COMMANDS]
 ) | st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4)
 POSITIONALS = {
-    "decompose": [NUMBER],
-    "recipe": [NUMBER],
+    "decompose": [DEGREE],
+    "recipe": [DEGREE],
     "table": [NUMBER],
     "series": [st.sampled_from(["homotopy", "homology", "steenrod"])],
     "verify": [],
@@ -710,7 +800,10 @@ def cli_argv(draw):
     return argv
 
 
-@settings(max_examples=300)
+# The slowest argv drawn runs, verify --check all --cap 32, takes about 3 ms;
+# every larger cap is refused before any work.  The deadline leaves a slow
+# host ample room and still fails an argv that runs for a visible while.
+@settings(max_examples=300, deadline=500)
 @given(argv=cli_argv())
 def test_every_argv_ends_in_a_documented_exit(envelope_validator, argv):
     assume(not any(token.startswith(("-h", "--h")) for token in argv))  # help exits 0, no envelope
