@@ -13,8 +13,7 @@ computations agree coefficient by coefficient.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .degrees import BASE, decompose, is_excluded, stages_up_to_degree
 from .series import (
@@ -29,8 +28,7 @@ from .series import (
 from .spaces import adams_homotopy_series
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     degree: int
     expected: Any
     actual: Any
@@ -39,8 +37,7 @@ class Discrepancy:
         return {"degree": self.degree, "expected": self.expected, "actual": self.actual}
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_name: str
     bound: int
     # The witness of a failure; a report without one passed.

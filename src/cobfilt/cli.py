@@ -18,7 +18,8 @@ Options must be spelled out in full: no parser accepts a prefix such
 as --js, so a literal --json is the only way to ask for an envelope.
 An argv that starts with a command goes to that command's own parser;
 _PARSER speaks only for argv that do not start with a command: help, a
-missing command or an invalid one.
+missing command or an invalid one.  Its -h text is a short description
+for users, not this docstring.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from itertools import chain, islice, repeat, tee
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable, Iterator
@@ -276,7 +276,15 @@ def _cmd_verify(ns: argparse.Namespace) -> _Outcome:
 
 
 # Built once: parse_args keeps no state on the parser between calls.
-_PARSER = _Parser(prog="cobfilt", description=__doc__, allow_abbrev=False)
+_PARSER = _Parser(
+    prog="cobfilt",
+    description="Generator degrees of the unoriented cobordism ring, their filtration "
+    "stages, cup-construction recipes and stage dimension series, with checks against "
+    "independent oracles. Add --json to any command for a JSON envelope.",
+    epilog="exit codes: 0 success, 1 a check failed, 2 domain error, 64 usage error, "
+    "70 internal error, 74 stdout closed",
+    allow_abbrev=False,
+)
 _sub = _PARSER.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
 _p = _sub.add_parser("decompose", help="degree to stage triple", allow_abbrev=False)
@@ -418,6 +426,8 @@ def main(argv: list[str] | None = None) -> int:
         key, value = "error", {"code": code, "message": str(exc)}
         lines = [f"error {code}: {exc}"]
         if status == EXIT_INTERNAL:
+            import traceback  # here alone: it costs every other call its import time
+
             traceback.print_exc()
         elif status == EXIT_USAGE and not as_json:  # worded as argparse words a usage error
             sys.stderr.write(exc.stderr)

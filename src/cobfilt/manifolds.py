@@ -31,8 +31,7 @@ run (n, j - 1), and only the first entry of each n from its recipe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .degrees import StageTriple, TableEntry, decompose
 
@@ -41,25 +40,35 @@ class RuleNotApplicableError(ValueError):
     """A step in a justification chain does not meet its rule's hypothesis."""
 
 
-@dataclass(frozen=True)
-class CupRecipe:
+class _Recipe(NamedTuple):
+    base_dim: int
+    steps: tuple[int, ...] = ()
+
+
+class CupRecipe(_Recipe):
     """A base projective-space dimension and the cup steps applied to it.
 
     steps holds the cup value of each step, 1 or 2, in the order the
     steps are applied.  plan puts every cup-2 step first; other orders
     are allowed for hand-built recipes, which the indecomposability
-    checker then vets.
+    checker then vets.  A plain tuple underneath, as StageTriple is: the
+    constructor stores the steps as a tuple and checks the base and steps.
     """
 
-    base_dim: int
-    steps: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.base_dim < 2 or self.base_dim % 2:
-            raise ValueError(f"base must be a positive even dimension, got {self.base_dim}")
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not set(self.steps) <= {1, 2}:
-            raise ValueError(f"steps must be cup-1 or cup-2, got {self.steps}")
+    def __new__(cls, base_dim: int, steps: Iterable[int] = ()) -> CupRecipe:
+        if base_dim < 2 or base_dim % 2:
+            raise ValueError(f"base must be a positive even dimension, got {base_dim}")
+        steps = tuple(steps)
+        if not set(steps) <= {1, 2}:
+            raise ValueError(f"steps must be cup-1 or cup-2, got {steps}")
+        return tuple.__new__(cls, (base_dim, steps))
+
+    @classmethod
+    def _make(cls, iterable) -> CupRecipe:
+        # NamedTuple's _make, and _replace through it, would skip the check.
+        return cls(*iterable)
 
     @property
     def cup2_count(self) -> int:
@@ -80,8 +89,7 @@ class CupRecipe:
         return tuple(dims)
 
 
-@dataclass(frozen=True)
-class Justification:
+class Justification(NamedTuple):
     """One link in an indecomposability argument.
 
     rule is "base-axiom", "cup-1", or "cup-2-even"; dim is the dimension

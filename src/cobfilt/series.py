@@ -36,8 +36,8 @@ the cap as an explicit argument; there is no global precision.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import repeat
+from typing import Iterable, NamedTuple
 
 U64_MAX = 2**64 - 1
 
@@ -46,17 +46,30 @@ class NotDivisibleError(ArithmeticError):
     """A series quotient would need a negative coefficient."""
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """Polynomial algebra over Z/2 on one generator in each listed degree."""
-
+class _Spec(NamedTuple):
     degrees: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        for d in self.degrees:
+
+class AlgebraSpec(_Spec):
+    """Polynomial algebra over Z/2 on one generator in each listed degree.
+
+    A plain tuple underneath, as StageTriple is: the constructor stores
+    the degrees as a tuple and checks them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, degrees: Iterable[int] = ()) -> AlgebraSpec:
+        degrees = tuple(degrees)
+        for d in degrees:
             if d < 1:
                 raise ValueError(f"generator degree must be >= 1, got {d}")
+        return tuple.__new__(cls, (degrees,))
+
+    @classmethod
+    def _make(cls, iterable) -> AlgebraSpec:
+        # NamedTuple's _make, and _replace through it, would skip the check.
+        return cls(*iterable)
 
     @classmethod
     def polynomial(cls, *degrees: int) -> AlgebraSpec:
@@ -67,27 +80,38 @@ class AlgebraSpec:
         return tuple(d for d in self.degrees if d <= bound)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Dimension counts up to and including degree cap; coeffs[t] is degree t."""
-
+class _Coeffs(NamedTuple):
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+
+class TruncatedSeries(_Coeffs):
+    """Dimension counts up to and including degree cap; coeffs[t] is degree t.
+
+    A plain tuple underneath; the constructor stores the coefficients as
+    a tuple and checks them against the unsigned 64-bit bound.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Iterable[int]) -> TruncatedSeries:
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs its degree-0 coefficient, got none")
-        # One C-level pass each; the per-degree loop below runs only to name a fault.
-        if set(map(type, coeffs)) <= {int} and min(coeffs) >= 0 and max(coeffs) <= U64_MAX:
-            return
-        for t, c in enumerate(coeffs):
-            if type(c) is not int:
-                raise ValueError(f"coefficient in degree {t} is not an integer: {c!r}")
-            if c < 0:
-                raise ValueError(f"negative coefficient {c} in degree {t}")
-            if c > U64_MAX:
-                raise OverflowError(f"coefficient in degree {t} exceeds the 64-bit bound")
+        # One C-level pass each; the per-degree loop runs only to name a fault.
+        if not (set(map(type, coeffs)) <= {int} and min(coeffs) >= 0 and max(coeffs) <= U64_MAX):
+            for t, c in enumerate(coeffs):
+                if type(c) is not int:
+                    raise ValueError(f"coefficient in degree {t} is not an integer: {c!r}")
+                if c < 0:
+                    raise ValueError(f"negative coefficient {c} in degree {t}")
+                if c > U64_MAX:
+                    raise OverflowError(f"coefficient in degree {t} exceeds the 64-bit bound")
+        return tuple.__new__(cls, (coeffs,))
+
+    @classmethod
+    def _make(cls, iterable) -> TruncatedSeries:
+        # NamedTuple's _make, and _replace through it, would skip the check.
+        return cls(*iterable)
 
     @property
     def cap(self) -> int:
@@ -174,11 +198,27 @@ def ratio_polynomial(a: TruncatedSeries, times: AlgebraSpec, over: AlgebraSpec) 
     negative coefficient anywhere means the product is not divisible; the
     lowest one is reported, as exact_div would.  Only the quotient is
     validated: the product may exceed 64 bits where the quotient does not.
+
+    With nothing to divide by, the product is the result, so it is checked
+    as it grows: the running sums go in ascending degree, and after the
+    pass for d every degree below the next generator is final, so that
+    segment is checked at once.  An overflow then stops the work at its
+    lowest degree, with the message the result's own check would give.
     """
     coeffs = list(a.coeffs)
     cap = len(coeffs) - 1
-    _times_geometric(coeffs, times.generators_below(cap))
-    for d in over.generators_below(cap):
+    degrees = sorted(times.generators_below(cap))
+    divisors = over.generators_below(cap)
+    if not divisors:
+        for d, end in zip(degrees, [*degrees[1:], cap + 1]):
+            _times_geometric(coeffs, (d,))
+            # The degrees below end are final.  One C-level pass; on a fault the
+            # check of the series up to end names its lowest degree and raises.
+            if d < end and max(coeffs[d:end]) > U64_MAX:
+                TruncatedSeries(coeffs[:end])
+        return TruncatedSeries(tuple(coeffs))
+    _times_geometric(coeffs, degrees)
+    for d in divisors:
         for t in range(cap, d - 1, -1):
             coeffs[t] -= coeffs[t - d]
     # One C-level pass; the scan runs only to name the lowest negative degree.

@@ -335,6 +335,34 @@ def test_the_argv_after_a_command_reaches_its_parser_whole(run_cli):
     )
 
 
+def test_top_level_help_is_a_short_description(run_cli, monkeypatch):
+    # argparse wraps help to the terminal width, so pin it
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli("-h") == (
+        0,
+        TOP_USAGE
+        + "\n"
+        "Generator degrees of the unoriented cobordism ring, their filtration stages,\n"
+        "cup-construction recipes and stage dimension series, with checks against\n"
+        "independent oracles. Add --json to any command for a JSON envelope.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {decompose,recipe,table,series,verify}\n"
+        "    decompose           degree to stage triple\n"
+        "    recipe              cup-construction recipe for a degree\n"
+        "    table               generator table up to a degree\n"
+        "    series              dimension series of a stage\n"
+        "    verify              run the verification suite\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "\n"
+        "exit codes: 0 success, 1 a check failed, 2 domain error, 64 usage error, 70\n"
+        "internal error, 74 stdout closed\n",
+        "",
+    )
+
+
 def test_option_prefixes_are_usage_errors(run_cli):
     # a prefix of --json is never taken for it, so a valid and an invalid
     # degree get the same report: usage text, no envelope

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import cobfilt.series
 import cobfilt.spaces as spaces
 from cobfilt.checks import partition_dp, verify_quotient_steps
 from cobfilt.degrees import BASE, StageTriple, stages_up_to_degree
@@ -160,6 +161,26 @@ def test_thom_series_fits_u64_through_cap_416():
     thom_homology_series(last, 416)
     with pytest.raises(OverflowError, match="degree 417 "):
         thom_homology_series(last, 417)
+
+
+def test_thom_series_stops_at_its_first_overflow(monkeypatch):
+    # The Thom route checks each degree once no later running sum can change
+    # it, so it stops in degree 417 without a pass for any generator above it.
+    passes = []
+
+    def recording(coeffs, degrees):
+        passes.extend(degrees)
+        original(coeffs, degrees)
+
+    steenrod_series(600)  # cached before the kernel is wrapped, so only the stage's passes show
+    original = cobfilt.series._times_geometric
+    monkeypatch.setattr(cobfilt.series, "_times_geometric", recording)
+    last = StageTriple(151, 0, 0)  # the last stage at cap 600, so it carries every generator
+    assert stages_up_to_degree(600)[-1].triple == last
+    with pytest.raises(OverflowError, match="^coefficient in degree 417 exceeds the 64-bit bound$"):
+        thom_homology_series(last, 600)
+    assert passes == sorted(passes)
+    assert max(passes) == 417
 
 
 def test_adams_route_fits_u64_through_cap_539():
