@@ -20,6 +20,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bound", type=int, default=16, help="largest generator degree")
     args = parser.parse_args()
+    if args.bound < 0:
+        parser.error(f"--bound must be >= 0, got {args.bound}")
 
     # the series cap must equal the stage bound: stages whose degree falls
     # between the two would contribute generators between consecutive rows
@@ -32,7 +34,7 @@ def main():
         current = adams_homotopy_series(t, cap)
         quotient = exact_div(current, previous)
         # 1/(1 - t^d) in closed form, not by the stride kernel that built the stages
-        predicted = tuple(int(t % entry.degree == 0) for t in range(cap + 1))
+        predicted = tuple(int(k % entry.degree == 0) for k in range(cap + 1))
         marker = "ok" if quotient.coeffs == predicted else "MISMATCH"
         print(f"stage ({t.n},{t.j},{t.i}): new generator x_{entry.degree}")
         print(f"  manifold  {expand(plan(entry.degree))}")

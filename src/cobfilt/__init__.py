@@ -41,7 +41,7 @@ from .series import (
     TruncatedSeries,
     exact_div,
     mul,
-    ratio_polynomial,
+    mul_polynomial,
     series_of,
     simple_system_series,
 )

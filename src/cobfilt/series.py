@@ -8,23 +8,23 @@ series by multiplying one factor 1 / (1 - t^d) per generator of degree d.
 
 Each such factor is a stride kernel on one list of coefficients, O(cap)
 per generator: multiplying by 1 / (1 - t^d) is a forward running sum
-with stride d (series_of), dividing by it is a backward difference with
-stride d, and ratio_polynomial runs both on one list, a times the
-series of one algebra over the series of another.  A height-1 factor
-1 + t^e is one descending pass (simple_system_series).  The general
-kernels mul and exact_div stay as the independent routes of the checks:
-the product check multiplies its stagewise route with mul, and the
-quotient check divides each stage by the previous one with exact_div.
-They take arbitrary operands and share no code with the stride kernels;
-each makes one slice pass per nonzero coefficient (of the sparser
-operand for mul, of the quotient for exact_div), so their cost follows
-the nonzero terms, at most O(cap^2).
+with stride d.  series_of runs one per generator on the unit series,
+and mul_polynomial on a given series, checking each degree as soon as
+no later sum can change it.  No stride kernel divides: the Adams
+spectral sequence of a stage collapses, so its homotopy is the series
+of its own polynomial algebra, with no A_* factor to divide out.  A
+height-1 factor 1 + t^e is one descending pass (simple_system_series).
+The general kernels mul and exact_div stay as the independent routes of
+the checks: the product check multiplies its stagewise route with mul,
+and the quotient check divides each stage by the previous one with
+exact_div.  They take arbitrary operands and share no code with the
+stride kernels; each makes one slice pass per nonzero coefficient (of
+the sparser operand for mul, of the quotient for exact_div), so their
+cost follows the nonzero terms, at most O(cap^2).
 
 Coefficients are plain Python integers validated against the unsigned
 64-bit bound at construction, so a count that outgrows the fixed-width
 contract raises OverflowError instead of silently corrupting a table.
-ratio_polynomial takes a validated series and validates only its result:
-the product on its list may exceed 64 bits where the quotient does not.
 A series is its coefficient tuple, and its cap is the top degree
 len(coeffs) - 1.  Every function that builds a series from nothing takes
 the cap as an explicit argument; there is no global precision.
@@ -187,44 +187,25 @@ def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def ratio_polynomial(a: TruncatedSeries, times: AlgebraSpec, over: AlgebraSpec) -> TruncatedSeries:
-    """a times the Poincare series of times, divided by the Poincare series
-    of over, on one list: the same quotient and the same NotDivisibleError
-    as exact_div(mul(a, series_of(times, cap)), series_of(over, cap)).
+def mul_polynomial(a: TruncatedSeries, times: AlgebraSpec) -> TruncatedSeries:
+    """a times the Poincare series of times, on one list: the same series
+    as mul(a, series_of(times, cap)).
 
-    Dividing by 1 / (1 - t^d) is multiplying by 1 - t^d: one backward
-    difference with stride d, taken from the top degree down so each step
-    reads a coefficient not yet changed.  The quotient is unique, so a
-    negative coefficient anywhere means the product is not divisible; the
-    lowest one is reported, as exact_div would.  Only the quotient is
-    validated: the product may exceed 64 bits where the quotient does not.
-
-    With nothing to divide by, the product is the result, so it is checked
-    as it grows: the running sums go in ascending degree, and after the
-    pass for d every degree below the next generator is final, so that
-    segment is checked at once.  An overflow then stops the work at its
-    lowest degree, with the message the result's own check would give.
+    The product is checked as it grows: the running sums go in ascending
+    degree, and after the pass for d every degree below the next generator
+    is final, so that segment is checked at once.  An overflow then stops
+    the work at its lowest degree, with the message the result's own check
+    would give.
     """
     coeffs = list(a.coeffs)
     cap = len(coeffs) - 1
     degrees = sorted(times.generators_below(cap))
-    divisors = over.generators_below(cap)
-    if not divisors:
-        for d, end in zip(degrees, [*degrees[1:], cap + 1]):
-            _times_geometric(coeffs, (d,))
-            # The degrees below end are final.  One C-level pass; on a fault the
-            # check of the series up to end names its lowest degree and raises.
-            if d < end and max(coeffs[d:end]) > U64_MAX:
-                TruncatedSeries(coeffs[:end])
-        return TruncatedSeries(tuple(coeffs))
-    _times_geometric(coeffs, degrees)
-    for d in divisors:
-        for t in range(cap, d - 1, -1):
-            coeffs[t] -= coeffs[t - d]
-    # One C-level pass; the scan runs only to name the lowest negative degree.
-    if min(coeffs) < 0:
-        t = next(t for t, c in enumerate(coeffs) if c < 0)
-        raise NotDivisibleError(f"quotient coefficient in degree {t} would be {coeffs[t]}")
+    for d, end in zip(degrees, [*degrees[1:], cap + 1]):
+        _times_geometric(coeffs, (d,))
+        # The degrees below end are final.  One C-level pass; on a fault the
+        # check of the series up to end names its lowest degree and raises.
+        if d < end and max(coeffs[d:end]) > U64_MAX:
+            TruncatedSeries(coeffs[:end])
     return TruncatedSeries(tuple(coeffs))
 
 

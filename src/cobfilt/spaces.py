@@ -4,25 +4,21 @@ counts.
 
 The dual Steenrod algebra A_* is polynomial on classes xi_k in degrees
 2^k - 1, so its degree-t dimension counts the partitions of t into
-parts 2^k - 1.
+parts 2^k - 1.  Its series is cached once per cap, and its coefficients
+first exceed 64 bits in degree 29,781.
 
 A filtration stage (n, j, i) contributes the Thom-complex homology
-A_* (x) Z/2[one generator per stage up to this one], and since the
+A_* (x) Z/2[one generator per stage up to this one] (Thom 1954).  The
 Adams spectral sequence of such a complex collapses onto its s = 0
-line, the homotopy dimension count is exactly the quotient by the A_*
-factor.
+line, so its homotopy is the polynomial algebra on the stage's
+generators alone.
 
-Both series are one call of the stride kernel ratio_polynomial, O(cap)
-per generator, on the cached A_* series: the Thom homology multiplies it
-by one running sum per stage generator, and the homotopy series runs the
-same running sums and then divides A_* back out by one backward
-difference per xi_k degree 2^k - 1, on one list.  That division is a
-real one: a homology series that A_* does not divide raises
-NotDivisibleError.  A_* is validated, and it first overflows in degree
-29,781.  Of the homotopy route only the quotient is validated, not the
-product A_* times the stage algebra, so it overflows only where the
-homotopy series itself exceeds 64 bits, while the Thom series of a
-stage may overflow at a lower cap.
+Each series is one stride kernel call, O(cap) per generator.  The Thom
+homology is mul_polynomial on the cached A_* series, and stops at its
+first overflow.  The homotopy is series_of on the stage's generators:
+it reads nothing of A_* and is checked once, at the end, so it
+overflows only where it exceeds 64 bits itself, never at a lower cap
+than the Thom series of the same stage.
 """
 
 from __future__ import annotations
@@ -32,12 +28,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .degrees import StageTriple, TableEntry, stages_up_to_degree
-from .series import AlgebraSpec, TruncatedSeries, ratio_polynomial, series_of
-
-
-def _steenrod_spec(cap: int) -> AlgebraSpec:
-    # xi_k in degree 2^k - 1 for every k with 2^k - 1 <= cap
-    return AlgebraSpec.polynomial(*((1 << k) - 1 for k in range(1, (cap + 1).bit_length())))
+from .series import AlgebraSpec, TruncatedSeries, mul_polynomial, series_of
 
 
 @lru_cache(maxsize=None)
@@ -45,7 +36,7 @@ def steenrod_series(cap: int) -> TruncatedSeries:
     """Dimension series of the dual Steenrod algebra up to cap: polynomial
     on xi_k in degree 2^k - 1 for every k with 2^k - 1 <= cap.  Its
     coefficients first exceed 64 bits in degree 29,781."""
-    return series_of(_steenrod_spec(cap), cap)
+    return series_of(AlgebraSpec((1 << k) - 1 for k in range(1, (cap + 1).bit_length())), cap)
 
 
 @lru_cache(maxsize=None)
@@ -72,20 +63,15 @@ def thom_homology_series(t: StageTriple, cap: int) -> TruncatedSeries:
     The dual Steenrod algebra splits off as a tensor factor, leaving
     the polynomial algebra on the generators present at the stage.
     """
-    loop_factor = AlgebraSpec.polynomial(*stage_generator_degrees(t, cap))
-    return ratio_polynomial(steenrod_series(cap), loop_factor, AlgebraSpec())
+    return mul_polynomial(steenrod_series(cap), AlgebraSpec(stage_generator_degrees(t, cap)))
 
 
 def adams_homotopy_series(t: StageTriple, cap: int) -> TruncatedSeries:
     """Homotopy dimensions of the stage-t Thom complex.
 
     The Adams spectral sequence for a complex whose homology is
-    A_* (x) V collapses onto s = 0, so the homotopy count is the exact
-    quotient of the homology series by the A_* series.  The homology is
-    built and divided on one list.  A_* is validated, so the cap must stay
-    at most 29,780; the homology is not, so of the rest only the quotient
-    must fit in 64 bits.  The division failing would falsify the model,
-    hence the propagated NotDivisibleError instead of a fallback.
+    A_* (x) V collapses onto s = 0, so the homotopy is V: the polynomial
+    algebra on the generators present at the stage.  Its series reads
+    nothing of A_*, so it overflows only where it exceeds 64 bits itself.
     """
-    loop_factor = AlgebraSpec.polynomial(*stage_generator_degrees(t, cap))
-    return ratio_polynomial(steenrod_series(cap), loop_factor, _steenrod_spec(cap))
+    return series_of(AlgebraSpec(stage_generator_degrees(t, cap)), cap)

@@ -28,3 +28,10 @@ def test_stage_walkthrough_confirms_every_quotient():
     assert "MISMATCH" not in proc.stdout
     assert proc.stdout.count("[ok]") == len(stages_up_to_degree(24))
 
+
+def test_stage_walkthrough_rejects_a_negative_bound():
+    proc = run_script("stage_walkthrough.py", "--bound", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith("error: --bound must be >= 0, got -1\n")
+    assert "Traceback" not in proc.stderr

@@ -9,7 +9,7 @@ from cobfilt.series import (
     TruncatedSeries,
     exact_div,
     mul,
-    ratio_polynomial,
+    mul_polynomial,
     series_of,
     simple_system_series,
 )
@@ -124,8 +124,7 @@ def test_ring_series_fits_u64_through_cap_539():
 
 
 # ---------------------------------------------------------------------------
-# ratio_polynomial: its times half multiplies by a polynomial series, its
-# over half divides by one, each tested on its own and then both together
+# mul_polynomial: a series times a polynomial series, stopping at the first overflow
 
 
 @given(capped_specs(), st.data())
@@ -133,61 +132,33 @@ def test_mul_polynomial_equals_convolution(spec_cap, data):
     spec, cap = spec_cap
     a = TruncatedSeries(data.draw(coefficient_lists(cap)))
     expected = mul(a, convolution_product(spec.degrees, cap))
-    assert ratio_polynomial(a, spec, AlgebraSpec()).coeffs == expected.coeffs
+    assert mul_polynomial(a, spec).coeffs == expected.coeffs
 
 
-@given(capped_specs(), st.data())
-def test_div_polynomial_then_mul_polynomial_round_trip(spec_cap, data):
+def unbounded_product(coeffs, degrees):
+    # a times 1 / (1 - t^d) for each d, as a direct convolution with the
+    # written-out geometric series, on plain integers no container bounds
+    cap = len(coeffs) - 1
+    out = list(coeffs)
+    for d in degrees:
+        out = [sum(out[t - u] for u in range(0, t + 1, d)) for t in range(cap + 1)]
+    return out
+
+
+@given(capped_specs(max_cap=12), st.data())
+def test_mul_polynomial_stops_at_the_lowest_overflow(spec_cap, data):
+    # coefficients near the bound, so most products overflow somewhere
     spec, cap = spec_cap
-    quotient = TruncatedSeries(data.draw(coefficient_lists(cap)))
-    a = mul(quotient, convolution_product(spec.degrees, cap))
-    divided = ratio_polynomial(a, AlgebraSpec(), spec)
-    assert divided.coeffs == quotient.coeffs
-    assert ratio_polynomial(divided, spec, AlgebraSpec()).coeffs == a.coeffs
-    assert ratio_polynomial(a, spec, spec).coeffs == a.coeffs
-
-
-@given(capped_specs(), st.data())
-def test_div_polynomial_agrees_with_exact_div(spec_cap, data):
-    # mostly not divisible: both routes must refuse with the same witness
-    spec, cap = spec_cap
-    a = TruncatedSeries((1,) + tuple(data.draw(coefficient_lists(cap, max_coeff=3)))[1:])
-    b = convolution_product(spec.degrees, cap)
-    try:
-        expected = exact_div(a, b)
-    except NotDivisibleError as exc:
-        with pytest.raises(NotDivisibleError) as raised:
-            ratio_polynomial(a, AlgebraSpec(), spec)
-        assert str(raised.value) == str(exc)
+    near = st.one_of(st.integers(0, 3), st.integers(U64_MAX - 2**62, U64_MAX))
+    coeffs = data.draw(st.lists(near, min_size=cap + 1, max_size=cap + 1))
+    expected = unbounded_product(coeffs, spec.degrees)
+    over = [t for t, c in enumerate(expected) if c > U64_MAX]
+    if over:
+        with pytest.raises(OverflowError) as raised:
+            mul_polynomial(TruncatedSeries(coeffs), spec)
+        assert str(raised.value) == f"coefficient in degree {over[0]} exceeds the 64-bit bound"
     else:
-        assert ratio_polynomial(a, AlgebraSpec(), spec).coeffs == expected.coeffs
-
-
-@given(capped_specs(), capped_specs(), st.data())
-def test_ratio_polynomial_agrees_with_mul_then_exact_div(times_cap, over_cap, data):
-    # both halves on one list: the same quotient, or the same refusal
-    (times, cap), (over, _) = times_cap, over_cap
-    a = TruncatedSeries(data.draw(coefficient_lists(cap, max_coeff=3)))
-    product = mul(a, convolution_product(times.degrees, cap))
-    try:
-        expected = exact_div(product, convolution_product(over.degrees, cap))
-    except NotDivisibleError as exc:
-        with pytest.raises(NotDivisibleError) as raised:
-            ratio_polynomial(a, times, over)
-        assert str(raised.value) == str(exc)
-    else:
-        assert ratio_polynomial(a, times, over).coeffs == expected.coeffs
-
-
-def test_div_polynomial_detects_a_non_divisible_series():
-    # 1 / (1/(1 - t^2)) = 1 - t^2
-    with pytest.raises(NotDivisibleError, match="degree 2 would be -1"):
-        ratio_polynomial(TruncatedSeries.unit(4), AlgebraSpec(), AlgebraSpec.polynomial(2))
-    with pytest.raises(NotDivisibleError, match="degree 3 would be -1"):
-        ratio_polynomial(TruncatedSeries((1, 1, 1, 0, 1)), AlgebraSpec(), AlgebraSpec.polynomial(1))
-    # (1 + t) / (1/(1 - t^2)) = 1 + t - t^2 - t^3: the lowest negative degree is named
-    with pytest.raises(NotDivisibleError, match="degree 2 would be -1"):
-        ratio_polynomial(TruncatedSeries((1, 1, 0, 0)), AlgebraSpec(), AlgebraSpec.polynomial(2))
+        assert list(mul_polynomial(TruncatedSeries(coeffs), spec).coeffs) == expected
 
 
 # ---------------------------------------------------------------------------

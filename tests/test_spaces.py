@@ -119,20 +119,12 @@ def test_homotopy_series_of_base_is_unit():
 
 
 def test_homotopy_times_steenrod_recovers_thom_homology():
+    # H_* = A_* (x) pi_*, by mul, a kernel neither series route uses
     cap = 24
     A = steenrod_series(cap)
     for entry in stages_up_to_degree(cap):
         q = adams_homotopy_series(entry.triple, cap)
         assert mul(q, A).coeffs == thom_homology_series(entry.triple, cap).coeffs
-
-
-def test_homotopy_series_is_stage_polynomial_algebra():
-    cap = 24
-    for entry in stages_up_to_degree(cap):
-        expected = series_of(
-            AlgebraSpec.polynomial(*stage_generator_degrees(entry.triple, cap)), cap
-        )
-        assert adams_homotopy_series(entry.triple, cap).coeffs == expected.coeffs
 
 
 def test_consecutive_stage_quotients_add_one_polynomial_generator():
@@ -146,12 +138,34 @@ def test_consecutive_stage_quotients_add_one_polynomial_generator():
 
 
 def test_homotopy_series_equals_general_division_at_every_stage():
-    # the stride division against exact_div, the route adams_homotopy_series used to take
+    # H_* = A_* (x) pi_*, by exact_div, a kernel neither series route uses
     cap = 48
     A = steenrod_series(cap)
     for t in [BASE] + [e.triple for e in stages_up_to_degree(cap)]:
         expected = exact_div(thom_homology_series(t, cap), A)
         assert adams_homotopy_series(t, cap).coeffs == expected.coeffs, t
+
+
+def test_homotopy_series_reads_nothing_of_steenrod(monkeypatch):
+    # One running sum per stage generator and none for A_*: the homotopy
+    # series is the stage algebra's, counted here as partitions into its degrees.
+    cap = 48
+
+    def no_steenrod(cap):
+        raise AssertionError("the homotopy route read A_*")
+
+    def recording(coeffs, degrees):
+        passes.extend(degrees)
+        original(coeffs, degrees)
+
+    original = cobfilt.series._times_geometric
+    monkeypatch.setattr(spaces, "steenrod_series", no_steenrod)
+    monkeypatch.setattr(cobfilt.series, "_times_geometric", recording)
+    for t in [BASE] + [e.triple for e in stages_up_to_degree(cap)]:
+        passes = []
+        degrees = stage_generator_degrees(t, cap)
+        assert adams_homotopy_series(t, cap).coeffs == partition_dp(degrees, cap).coeffs, t
+        assert passes == degrees, t
 
 
 def test_thom_series_fits_u64_through_cap_416():
@@ -184,10 +198,10 @@ def test_thom_series_stops_at_its_first_overflow(monkeypatch):
 
 
 def test_adams_route_fits_u64_through_cap_539():
-    # the route never validates its Thom intermediate: at cap 417 that overflows,
-    # the homotopy series does not; the homotopy series itself first does at 540
-    assert adams_homotopy_series(StageTriple(105, 0, 0), 417).coeffs == series_of(
-        AlgebraSpec.polynomial(*stage_generator_degrees(StageTriple(105, 0, 0), 417)), 417
+    # the route reads neither A_* nor the Thom series: at cap 417 the Thom series
+    # overflows, the homotopy series does not; the homotopy series itself first does at 540
+    assert adams_homotopy_series(StageTriple(105, 0, 0), 417).coeffs == partition_dp(
+        stage_generator_degrees(StageTriple(105, 0, 0), 417), 417
     ).coeffs
     # (136,0,0) is the last stage at cap 540, so it carries every generator
     last = StageTriple(136, 0, 0)
