@@ -16,10 +16,16 @@ usage on stderr, or, when the argv starts with a command and holds
 --json, a USAGE envelope with empty parameters.
 Options must be spelled out in full: no parser accepts a prefix such
 as --js, so a literal --json is the only way to ask for an envelope.
-An argv that starts with a command goes to that command's own parser;
-_PARSER speaks only for argv that do not start with a command: help, a
-missing command or an invalid one.  Its -h text is a short description
-for users, not this docstring.
+An argv that starts with a command is read by _read, from that
+command's own parser's actions, when each token after the command is an
+exact option string, an option's value or a positional, and each value
+passes its type and choices.  That command's parser, argparse, parses
+every other argv (-h, --, --cap=5, a value starting with -, a bad,
+missing or leftover value), to word its error or print its help; so the
+parsers stay the one declaration of every command.  _PARSER speaks only
+for argv that do not start with a command: help, a missing command or
+an invalid one.  Its -h text is a short description for users, not this
+docstring.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import chain, islice, repeat, tee
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable
 
 from .checks import (
     verify_bijection,
@@ -321,6 +328,48 @@ _COMMANDS: dict[str, argparse.ArgumentParser] = _sub.choices
 del _sub, _p
 
 
+def _read(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """parser.parse_known_args(argv)'s Namespace, for an argv it parses with
+    nothing left over, read from the parser's own actions and defaults.
+
+    A token equal to an option string sets a flag or takes the next token
+    as its value; any other token fills the next positional; each value
+    goes through its action's type and choices.  None for every argv that
+    needs argparse to parse it, word its error or print its help: a token
+    starting with - that is not an option string (-h, --, --cap=5, -5, a
+    prefix), a value starting with -, a bad value, a positional missing or
+    left over.  Any other kind of action also gives None.
+    """
+    ns = argparse.Namespace()
+    values = vars(ns)
+    for action in parser._actions:  # defaults in argparse's order: the actions, then func
+        if action.default is not argparse.SUPPRESS:
+            values.setdefault(action.dest, action.default)
+    for dest, default in parser._defaults.items():
+        values.setdefault(dest, default)
+    positionals = iter(parser._get_positional_actions())
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] == "-":
+            action = parser._option_string_actions.get(token)
+            if isinstance(action, argparse._StoreConstAction):  # a flag: store_true
+                values[action.dest] = action.const
+                continue
+            token = next(tokens, "-")
+        else:
+            action = next(positionals, None)
+        if type(action) is not argparse._StoreAction or action.nargs is not None or token[:1] == "-":
+            return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return None if next(positionals, None) else ns
+
+
 def _dumps(value: Any, pad: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) byte for byte, each line
     after the first opened by pad, without the stdlib's pure-Python encoder:
@@ -400,9 +449,12 @@ def main(argv: list[str] | None = None) -> int:
         if command is None:
             ns = _PARSER.parse_args(argv)
         else:
-            ns, extras = _COMMANDS[command].parse_known_args(argv[1:])
-            if extras:  # worded as _PARSER.parse_args words them
-                _PARSER.error("unrecognized arguments: " + " ".join(extras))
+            parser = _COMMANDS[command]
+            ns = _read(parser, argv[1:])
+            if ns is None:  # argparse parses what _read refuses, to word the error or print help
+                ns, extras = parser.parse_known_args(argv[1:])
+                if extras:  # worded as _PARSER.parse_args words them
+                    _PARSER.error("unrecognized arguments: " + " ".join(extras))
             ns.command = command
         command, as_json, parameters = ns.command, ns.json, _parameters(ns)
         # Refused before any work: a series without its stage, then a cap above its limit.

@@ -4,8 +4,8 @@ counts.
 
 The dual Steenrod algebra A_* is polynomial on classes xi_k in degrees
 2^k - 1, so its degree-t dimension counts the partitions of t into
-parts 2^k - 1.  Its series is cached once per cap, and its coefficients
-first exceed 64 bits in degree 29,781.
+parts 2^k - 1.  Its series is cached for the last 16 caps, and its
+coefficients first exceed 64 bits in degree 29,781.
 
 A filtration stage (n, j, i) contributes the Thom-complex homology
 A_* (x) Z/2[one generator per stage up to this one] (Thom 1954).  The
@@ -30,8 +30,12 @@ from operator import attrgetter
 from .degrees import StageTriple, TableEntry, stages_up_to_degree
 from .series import AlgebraSpec, TruncatedSeries, mul_polynomial, series_of
 
+# Entries each cache keeps, for the most recent caps: more than the few caps a
+# pass cycles through, and few enough that a loop over many caps keeps memory bounded.
+_CACHE_SIZE = 16
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def steenrod_series(cap: int) -> TruncatedSeries:
     """Dimension series of the dual Steenrod algebra up to cap: polynomial
     on xi_k in degree 2^k - 1 for every k with 2^k - 1 <= cap.  Its
@@ -39,7 +43,7 @@ def steenrod_series(cap: int) -> TruncatedSeries:
     return series_of(AlgebraSpec((1 << k) - 1 for k in range(1, (cap + 1).bit_length())), cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _stage_table(bound: int) -> tuple[TableEntry, ...]:
     # One build per bound: a verify pass asks for the same table at every stage.
     return stages_up_to_degree(bound)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -847,6 +848,64 @@ def test_every_argv_ends_in_a_documented_exit(envelope_validator, argv):
         envelope_validator.validate(envelope)
         assert envelope["command"] == next(token for token in argv if token in COMMANDS)
         assert err.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# the argv reader
+
+
+@settings(max_examples=500)
+@given(argv=cli_argv())
+def test_the_reader_reads_as_argparse_parses(argv):
+    parser = cli._COMMANDS.get(argv[0])
+    assume(parser is not None)
+    ns = cli._read(parser, argv[1:])
+    if ns is not None:
+        expected, extras = parser.parse_known_args(argv[1:])
+        assert extras == []
+        assert list(vars(ns).items()) == list(vars(expected).items())
+
+
+def test_the_reader_needs_no_more_of_argparse():
+    # _read applies no string default through its type and checks no
+    # required option: argparse would do both at the end of a parse.
+    for parser in cli._COMMANDS.values():
+        for action in parser._actions:
+            assert type(action) in (
+                argparse._HelpAction, argparse._StoreAction, argparse._StoreTrueAction
+            )
+            assert action.nargs in (None, 0)
+            assert not (isinstance(action.default, str) and action.type is not None)
+            assert not action.required or not action.option_strings
+
+
+# Every argv shape that perfbench/workloads.py and the README send.
+READER_ARGV = [
+    ("decompose", "123457", "--json"),
+    ("decompose", "5"),
+    ("recipe", "123457", "--expand", "--json"),
+    ("recipe", "6", "--expand"),
+    ("table", "16"),
+    *[("series", what, "--stage", "5,0,0", "--cap", "16", "--json") for what in ("homotopy", "homology")],
+    ("series", "homotopy", "--stage", "1,1,0", "--cap", "6"),
+    ("series", "steenrod", "--cap", "96", "--json"),
+    ("series", "steenrod", "--cap", "6"),
+    *[("verify", "--check", check, "--cap", "32", "--json") for check in ("all", *cli._CHECK_RUNNERS)],
+    ("verify", "--check", "all", "--cap", "64"),
+]
+
+
+@pytest.mark.parametrize("argv", READER_ARGV, ids=" ".join)
+def test_the_traffic_takes_the_reader(run_cli, monkeypatch, argv):
+    parsed = []
+
+    def recorded(self, *args, **kwargs):
+        parsed.append(args)
+        return argparse.ArgumentParser.parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", recorded)
+    code, _, err = run_cli(*argv)
+    assert (code, err, parsed) == (0, "", [])
 
 
 # ---------------------------------------------------------------------------

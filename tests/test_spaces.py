@@ -92,6 +92,25 @@ def test_stage_table_is_built_once_per_bound(monkeypatch):
     spaces._stage_table.cache_clear()
 
 
+def test_the_caches_stay_bounded_over_many_caps():
+    caches = (spaces.steenrod_series, spaces._stage_table)
+    for cache in caches:
+        cache.cache_clear()
+    for cap in range(4 * spaces._CACHE_SIZE):
+        thom_homology_series(StageTriple(1, 1, 0), cap)
+        assert all(cache.cache_info().currsize <= spaces._CACHE_SIZE for cache in caches)
+    # a pass cycling through a few caps still finds every one cached
+    few = range(6)
+    for cap in few:
+        thom_homology_series(StageTriple(1, 1, 0), cap)
+    before = [cache.cache_info().misses for cache in caches]
+    for cap in few:
+        thom_homology_series(StageTriple(1, 1, 0), cap)
+    assert [cache.cache_info().misses for cache in caches] == before
+    for cache in caches:
+        cache.cache_clear()
+
+
 def test_thom_series_of_base_is_dual_steenrod():
     assert thom_homology_series(BASE, 6).coeffs == (1, 1, 1, 2, 2, 2, 3)
 
