@@ -5,13 +5,13 @@ arrive at a time.
 For each stage (n, j, i) with generator degree <= BOUND, prints the new
 degree, the cup-construction recipe, and the quotient of consecutive
 homotopy series, which should always be the series of Z/2[x_d] for the
-incoming degree d.
+incoming degree d.  Exits 1 when any stage's quotient is not.
 """
 
 import argparse
 
 from cobfilt.degrees import BASE, stages_up_to_degree
-from cobfilt.manifolds import expand, plan
+from cobfilt.manifolds import expand, stage_recipe
 from cobfilt.series import exact_div
 from cobfilt.spaces import adams_homotopy_series
 
@@ -29,6 +29,7 @@ def main():
     previous = adams_homotopy_series(BASE, cap)
     print(f"base stage (1,0,0): homotopy series {list(previous.coeffs)}")
     print()
+    mismatches = 0
     for entry in stages_up_to_degree(args.bound):
         t = entry.triple
         current = adams_homotopy_series(t, cap)
@@ -36,12 +37,14 @@ def main():
         # 1/(1 - t^d) in closed form, not by the stride kernel that built the stages
         predicted = tuple(int(k % entry.degree == 0) for k in range(cap + 1))
         marker = "ok" if quotient.coeffs == predicted else "MISMATCH"
+        mismatches += marker != "ok"
         print(f"stage ({t.n},{t.j},{t.i}): new generator x_{entry.degree}")
-        print(f"  manifold  {expand(plan(entry.degree))}")
+        print(f"  manifold  {expand(stage_recipe(t))}")
         print(f"  series    {list(current.coeffs)}")
         print(f"  quotient  1/(1 - t^{entry.degree})  [{marker}]")
         previous = current
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

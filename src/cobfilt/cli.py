@@ -40,6 +40,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
 from .checks import (
+    CheckReport,
     verify_bijection,
     verify_main_theorem,
     verify_quotient_steps,
@@ -251,7 +252,7 @@ def _cmd_series(ns: argparse.Namespace) -> _Outcome:
     return EXIT_OK, {"cap": ns.cap, "coefficients": coeffs}, [label, str(coeffs)]
 
 
-_CHECK_RUNNERS: dict[str, Callable[[int], Any]] = {
+_CHECK_RUNNERS: dict[str, Callable[[int], CheckReport]] = {
     "bijection": verify_bijection,
     "product": verify_main_theorem,
     "quotients": verify_quotient_steps,
@@ -266,15 +267,17 @@ def _cmd_verify(ns: argparse.Namespace) -> _Outcome:
     failures = 0
     for name in names:
         report = _CHECK_RUNNERS[name](ns.cap)
-        entry = report.to_json()
         status = "pass" if report.passed else "fail"
+        # The witness as a dict in field order: the same dict in the text and the JSON.
+        witness = None if report.passed else report.first_discrepancy._asdict()
+        entry = {"check": name, "bound": ns.cap, "status": status, "first_discrepancy": witness}
         lines.append(f"{name}: {status} (cap {ns.cap})")
         if report.series is not None:
             entry["series"] = list(report.series)
             lines.append(f"{name} series: {entry['series']}")
-        if not report.passed:
+        if witness is not None:
             failures += 1
-            lines.append(f"  first discrepancy: {report.first_discrepancy.to_json()}")
+            lines.append(f"  first discrepancy: {witness}")
         payload.append(entry)
     all_passed = failures == 0
     lines.append("result: all checks passed" if all_passed else f"result: {failures} check(s) failed")

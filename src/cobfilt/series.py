@@ -29,8 +29,8 @@ A series is its coefficient tuple, and its cap is the top degree
 len(coeffs) - 1.  Every function that builds a series from nothing takes
 the cap as an explicit argument; there is no global precision.
 
->>> series_of(AlgebraSpec.polynomial(2), cap=6).coeffs
-(1, 0, 1, 0, 1, 0, 1)
+>>> series_of(AlgebraSpec((2, 5)), cap=7).coeffs
+(1, 0, 1, 0, 1, 1, 1, 1)
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ class AlgebraSpec(_Spec):
     def _make(cls, iterable) -> AlgebraSpec:
         # NamedTuple's _make, and _replace through it, would skip the check.
         return cls(*iterable)
-
-    @classmethod
-    def polynomial(cls, *degrees: int) -> AlgebraSpec:
-        return cls(degrees)
 
     def generators_below(self, bound: int) -> tuple[int, ...]:
         """The degrees of all generators of degree <= bound."""

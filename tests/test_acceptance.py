@@ -73,7 +73,7 @@ def test_criterion_2_main_theorem_series_identity():
         report = verify_main_theorem(128)
         assert report.passed, report
         gens = [d for d in range(2, 129) if not is_excluded(d)]
-        series = series_of(AlgebraSpec.polynomial(*gens), 128)
+        series = series_of(AlgebraSpec(gens), 128)
         enumerated = {t: len(enumerate_multisets([g for g in gens if g <= 8], t))
                       for t in (2, 4, 5, 6, 7, 8)}
         assert enumerated == {2: 1, 4: 2, 5: 1, 6: 3, 7: 1, 8: 5}
@@ -87,11 +87,11 @@ def test_criterion_3_stage_quotients():
         previous = adams_homotopy_series(BASE, cap)
         entries = stages_up_to_degree(cap)
         first = exact_div(adams_homotopy_series(entries[0].triple, cap), previous)
-        assert first.coeffs == series_of(AlgebraSpec.polynomial(2), cap).coeffs
+        assert first.coeffs == series_of(AlgebraSpec((2,)), cap).coeffs
         for entry in entries:
             current = adams_homotopy_series(entry.triple, cap)
             quotient = exact_div(current, previous)
-            predicted = series_of(AlgebraSpec.polynomial(entry.degree), cap)
+            predicted = series_of(AlgebraSpec((entry.degree,)), cap)
             assert quotient.coeffs == predicted.coeffs, entry
             previous = current
         assert verify_quotient_steps(cap).passed
@@ -105,7 +105,7 @@ def test_criterion_4_adams_collapse_divisibility():
             homology = thom_homology_series(entry.triple, cap)
             quotient = exact_div(homology, steenrod)
             stage_poly = series_of(
-                AlgebraSpec.polynomial(*stage_generator_degrees(entry.triple, cap)), cap
+                AlgebraSpec(stage_generator_degrees(entry.triple, cap)), cap
             )
             assert quotient.coeffs == stage_poly.coeffs, entry
             assert mul(quotient, steenrod).coeffs == homology.coeffs, entry
@@ -133,7 +133,7 @@ def test_criterion_6_simple_system_identity():
         for d in range(1, 33):
             assert (
                 simple_system_series(d, 256).coeffs
-                == series_of(AlgebraSpec.polynomial(d), 256).coeffs
+                == series_of(AlgebraSpec((d,)), 256).coeffs
             ), d
 
 

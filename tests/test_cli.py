@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cobfilt.checks as checks
+import cobfilt.spaces as spaces
 from cobfilt import cli
 from cobfilt.degrees import decompose, is_excluded, stages_up_to_degree
 from cobfilt.manifolds import expand, plan, stage_recipe
@@ -443,6 +444,94 @@ def test_verify_failure_json_envelope(run_cli, envelope_validator, wrong_stagewi
     }
 
 
+def _stray_triple(monkeypatch):
+    original = checks._enumerate_triples
+    monkeypatch.setattr(checks, "_enumerate_triples", lambda bound: original(bound) + [(17, (9, 9, 9))])
+
+
+def _dropped_generator(monkeypatch):
+    original = spaces.stage_generator_degrees
+    monkeypatch.setattr(
+        spaces, "stage_generator_degrees", lambda t, bound: [d for d in original(t, bound) if d != 6]
+    )
+
+
+def _non_dividing_stage(monkeypatch):
+    second, original = stages_up_to_degree(16)[1].triple, checks.adams_homotopy_series
+    monkeypatch.setattr(
+        checks, "adams_homotopy_series",
+        lambda t, cap: TruncatedSeries.unit(cap) if t == second else original(t, cap),
+    )
+
+
+def _mutated_factor(monkeypatch):
+    def mutated(d, cap):
+        coeffs = list(series_of(AlgebraSpec((d,)), cap).coeffs)
+        coeffs[5] += 1
+        return TruncatedSeries(tuple(coeffs))
+
+    monkeypatch.setattr(checks, "simple_system_series", mutated)
+
+
+# One injected defect per check, the defects tests/test_checks.py injects, with
+# the check, the cap, and the witness as the text prints it and as the JSON has it.
+CHECK_DEFECTS = {
+    "bijection stray": (
+        _stray_triple, "bijection", 16,
+        "{'degree': 17, 'expected': 'degree within [2, bound]', 'actual': [[9, 9, 9]]}",
+        {"degree": 17, "expected": "degree within [2, bound]", "actual": [[9, 9, 9]]},
+    ),
+    "quotients dropped": (
+        _dropped_generator, "quotients", 16,
+        "{'degree': 6, 'expected': 1, 'actual': 0}",
+        {"degree": 6, "expected": 1, "actual": 0},
+    ),
+    "quotients non-dividing": (
+        _non_dividing_stage, "quotients", 16,
+        "{'degree': 5, 'expected': [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0], "
+        "'actual': 'quotient coefficient in degree 2 would be -1'}",
+        {
+            "degree": 5,
+            "expected": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0],
+            "actual": "quotient coefficient in degree 2 would be -1",
+        },
+    ),
+    "simple-system mutated": (
+        _mutated_factor, "simple-system", 8,
+        "{'degree': 1, 'expected': [1, 1, 1, 1, 1, 1, 1, 1, 1], 'actual': [1, 1, 1, 1, 1, 2, 1, 1, 1]}",
+        {"degree": 1, "expected": [1] * 9, "actual": [1, 1, 1, 1, 1, 2, 1, 1, 1]},
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", CHECK_DEFECTS)
+def test_every_check_fails_through_the_cli(run_cli, envelope_validator, monkeypatch, defect):
+    inject, check, cap, text_witness, json_witness = CHECK_DEFECTS[defect]
+    inject(monkeypatch)
+    argv = ("verify", "--check", check, "--cap", str(cap))
+    assert run_cli(*argv) == (
+        1,
+        f"{check}: fail (cap {cap})\n"
+        f"  first discrepancy: {text_witness}\n"
+        "result: 1 check(s) failed\n",
+        "",
+    )
+    code, out, err = run_cli(*argv, "--json")
+    assert (code, err) == (1, "")
+    envelope = json.loads(out)
+    envelope_validator.validate(envelope)
+    assert envelope == {
+        "command": "verify",
+        "parameters": {"cap": cap, "check": check, "format": "json"},
+        "status": "ok",
+        "result": {
+            "cap": cap,
+            "all_passed": False,
+            "checks": [{"check": check, "bound": cap, "status": "fail", "first_discrepancy": json_witness}],
+        },
+    }
+
+
 # ---------------------------------------------------------------------------
 # domain errors
 
@@ -508,7 +597,7 @@ def test_overflow_json_envelope(run_cli, envelope_validator, argv, code, message
 
 
 def _ring_series(cap):
-    return series_of(AlgebraSpec.polynomial(*(d for d in range(2, cap + 1) if not is_excluded(d))), cap)
+    return series_of(AlgebraSpec(d for d in range(2, cap + 1) if not is_excluded(d)), cap)
 
 
 # For each overflow row of cli._CAP_LIMITS, the series whose first overflow
@@ -576,7 +665,7 @@ def test_every_cap_limit_admits_its_limit(run_cli, monkeypatch, row):
     caps = []
     for name in cli._CHECK_RUNNERS:
         monkeypatch.setitem(
-            cli._CHECK_RUNNERS, name, lambda cap, name=name: caps.append(cap) or checks.CheckReport(name, cap)
+            cli._CHECK_RUNNERS, name, lambda cap, name=name: caps.append(cap) or checks.CheckReport()
         )
     monkeypatch.setattr(cli, "steenrod_series", lambda cap: caps.append(cap) or TruncatedSeries((1,)))
     for name in ("thom_homology_series", "adams_homotopy_series"):

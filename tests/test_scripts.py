@@ -1,10 +1,14 @@
 """The walkthrough script runs end to end on the kernels it imports."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import cobfilt.spaces as spaces
 from cobfilt.degrees import stages_up_to_degree
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +39,19 @@ def test_stage_walkthrough_rejects_a_negative_bound():
     assert proc.stdout == ""
     assert proc.stderr.endswith("error: --bound must be >= 0, got -1\n")
     assert "Traceback" not in proc.stderr
+
+
+def test_stage_walkthrough_exits_one_on_a_mismatch(monkeypatch, capsys):
+    # the stage of degree 6 loses its generator, so its quotient is 1, not 1/(1 - t^6)
+    original = spaces.stage_generator_degrees
+    monkeypatch.setattr(
+        spaces, "stage_generator_degrees", lambda t, bound: [d for d in original(t, bound) if d != 6]
+    )
+    monkeypatch.setattr(sys, "argv", ["stage_walkthrough.py", "--bound", "16"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(ROOT / "scripts" / "stage_walkthrough.py"), run_name="__main__")
+    assert exited.value.code == 1
+    out = capsys.readouterr().out
+    assert "  quotient  1/(1 - t^6)  [MISMATCH]\n" in out
+    assert out.count("[MISMATCH]") == 1
+    assert out.count("[ok]") == len(stages_up_to_degree(16)) - 1

@@ -152,7 +152,7 @@ def test_consecutive_stage_quotients_add_one_polynomial_generator():
     for entry in stages_up_to_degree(cap):
         current = adams_homotopy_series(entry.triple, cap)
         quotient = exact_div(current, previous)
-        assert quotient.coeffs == series_of(AlgebraSpec.polynomial(entry.degree), cap).coeffs
+        assert quotient.coeffs == series_of(AlgebraSpec((entry.degree,)), cap).coeffs
         previous = current
 
 
