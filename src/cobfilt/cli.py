@@ -35,7 +35,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice, repeat, tee
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
@@ -46,8 +46,8 @@ from .checks import (
     verify_quotient_steps,
     verify_simple_systems,
 )
-from .degrees import ExcludedDegreeError, StageTriple, compose, decompose, iter_stages
-from .manifolds import expand, indecomposable, stage_recipe, table_terms
+from .degrees import ExcludedDegreeError, StageTriple, compose, decompose, iter_runs
+from .manifolds import CUP_CLOSE, CUP_OPEN, expand, indecomposable, stage_recipe
 from .spaces import adams_homotopy_series, steenrod_series, thom_homology_series
 
 EXIT_OK = 0
@@ -206,50 +206,73 @@ def _cmd_recipe(ns: argparse.Namespace) -> _Outcome:
     return EXIT_OK, result, lines
 
 
-# An item of result["rows"] as json.dumps(envelope, sort_keys=True, indent=2)
-# renders it, three levels deep: the keys sorted, the stage's too.  A term
-# holds only letters, digits, ^, commas and parentheses, so it needs no escape.
-_JSON_ROW = (
-    "      {{\n"
-    '        "degree": {},\n'
-    '        "stage": {{\n'
-    '          "i": {},\n'
-    '          "j": {},\n'
-    '          "n": {}\n'
-    "        }},\n"
-    '        "term": "{}"\n'
-    "      }}"
-)
-
-
 def _cmd_table(ns: argparse.Namespace) -> _Outcome:
     # Lazy: main writes the rows as they are made (see its docstring).
-    entries, for_terms = tee(iter_stages(ns.max_degree))
-    rows = zip(entries, table_terms(for_terms))
+    rows = _table_rows(ns.max_degree, ns.json)
     if ns.json:  # the envelope is built from result alone, the text from lines alone
-        rendered = (_JSON_ROW.format(d, i, j, n, term) for (d, (n, j, i)), term in rows)
-        return EXIT_OK, {"max_degree": ns.max_degree, "rows": rendered}, []
-    return EXIT_OK, {"max_degree": ns.max_degree}, _table_lines(rows, ns.max_degree)
+        return EXIT_OK, {"max_degree": ns.max_degree, "rows": rows}, []
+    return EXIT_OK, {"max_degree": ns.max_degree}, rows
 
 
-def _table_lines(rows: Iterator, max_degree: int) -> Iterator[str]:
-    yield f"{'degree':<8}{'stage':<12}recipe"
+def _table_rows(max_degree: int, as_json: bool) -> Iterator[str]:
+    """The table up to max_degree, rendered as it is made: the items of
+    result["rows"] under --json, else the text's header, rows and footer.
+
+    One walk of the stage runs.  A run's first term is expanded from its
+    recipe for the first run of each n, and is the cup-2 of the previous
+    run's first term otherwise; each further term is the cup-1 of the term
+    before it.  Each row is formatted right there, from its run's n and j
+    and its own degree, i and term.
+    """
+    cup1, cup2, close = CUP_OPEN[1], CUP_OPEN[2], CUP_CLOSE
+    if not as_json:
+        yield f"{'degree':<8}{'stage':<12}recipe"
     count = 0
-    for count, ((degree, (n, j, i)), term) in enumerate(rows, 1):
-        yield f"{degree:<8}{f'({n},{j},{i})':<12}{term}"
-    yield f"{count} generator(s) up to degree {max_degree}"
+    head = ""
+    for n, j, degrees in iter_runs(max_degree):
+        if j == (n == 1):  # the first run of n: j = 1 for n = 1, and j = 0 after
+            head = expand(stage_recipe(StageTriple(n, j, 0)))
+        else:
+            head = f"{cup2}{head}{close}"
+        # What rows of this run share: their stage's j and n in JSON, "(n,j," in text.
+        run = f'          "j": {j},\n          "n": {n}\n' if as_json else f"({n},{j},"
+        term, i = head, 0
+        for degree in degrees:
+            if as_json:
+                # The item as json.dumps(envelope, sort_keys=True, indent=2) renders
+                # it, three levels deep: the keys sorted, the stage's too.  A term
+                # holds only letters, digits, ^, commas and parentheses: no escapes.
+                yield (
+                    "      {\n"
+                    f'        "degree": {degree},\n'
+                    '        "stage": {\n'
+                    f'          "i": {i},\n'
+                    f"{run}"
+                    "        },\n"
+                    f'        "term": "{term}"\n'
+                    "      }"
+                )
+            else:
+                yield f"{degree:<8}{f'{run}{i})':<12}{term}"
+            # The next row's term; the last row's is made and dropped, which is
+            # cheaper than asking each row whether it is the first.
+            term, i = f"{cup1}{term}{close}", i + 1
+        count += len(degrees)
+    if not as_json:
+        yield f"{count} generator(s) up to degree {max_degree}"
 
 
 def _cmd_series(ns: argparse.Namespace) -> _Outcome:
     if ns.what == "steenrod":
         series = steenrod_series(ns.cap)
-        label = f"steenrod cap {ns.cap}"
     else:
         fn = adams_homotopy_series if ns.what == "homotopy" else thom_homology_series
         series = fn(ns.stage, ns.cap)
-        label = f"{ns.what} stage {_stage_text(ns.stage)} cap {ns.cap}"
     coeffs = list(series.coeffs)
-    return EXIT_OK, {"cap": ns.cap, "coefficients": coeffs}, [label, str(coeffs)]
+    if ns.json:  # the envelope is built from result alone, the text from lines alone
+        return EXIT_OK, {"cap": ns.cap, "coefficients": coeffs}, []
+    stage = "" if ns.what == "steenrod" else f" stage {_stage_text(ns.stage)}"
+    return EXIT_OK, {"cap": ns.cap}, [f"{ns.what}{stage} cap {ns.cap}", str(coeffs)]
 
 
 _CHECK_RUNNERS: dict[str, Callable[[int], CheckReport]] = {

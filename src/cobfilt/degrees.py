@@ -13,9 +13,11 @@ carries no generator.  Decomposition reads the triple straight off two
 
 Triples are ordered lexicographically, n first, then j, then i.  Note
 that this is not the degree order: the stage of degree 11 precedes the
-stage of degree 6.  The stage table up to a degree bound is a plain
+stage of degree 6.  The stages come in runs: the stages (n, j, 0),
+(n, j, 1), ... share n and j, and iter_runs yields each run's n, j and
+degrees in that order.  The stage table up to a degree bound is a plain
 tuple of (degree, triple) entries in that order, and iter_stages yields
-the same entries one at a time.
+the same entries one at a time; both read the runs.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ class StageTriple(_Triple):
     """Filtration index (n, j, i); comparison is lexicographic.
 
     A plain tuple underneath, so it compares, hashes and unpacks as
-    (n, j, i) does.  The constructor checks the indices; iter_stages,
-    whose loops make valid indices by construction, builds its triples
-    with tuple.__new__ and skips the check.
+    (n, j, i) does.  The constructor checks the indices; iter_stages and
+    stages_up_to_degree, whose runs hold valid indices by construction,
+    build their triples with tuple.__new__ and skip the check.
     """
 
     __slots__ = ()
@@ -116,32 +118,53 @@ class TableEntry(NamedTuple):
     triple: StageTriple
 
 
-def iter_stages(bound: int) -> Iterator[TableEntry]:
-    """All generator-bearing stages with degree <= bound, as (degree,
-    triple) entries in stage order, one at a time.
+def iter_runs(bound: int) -> Iterator[tuple[int, int, list[int]]]:
+    """Every run of generator-bearing stages with degree <= bound, as
+    (n, j, degrees) in stage order, where degrees[i] is the degree of
+    stage (n, j, i).
 
     The loop bounds follow the degree formula: stage n starts at degree
     4n - 4, each step in j takes the degree d of (n, j, 0) to 2d + 2,
     each step in i takes d to 2d + 1, and each loop stops when the degree
-    leaves the window.  A bound below 2 gives nothing.  The degrees are
-    exactly the non-excluded integers in [2, bound], each once; that
-    equality is a theorem and is checked by the verification suite, not
-    here.
+    leaves the window, so no run is empty.  A bound below 2 gives
+    nothing.  The degrees are exactly the non-excluded integers in
+    [2, bound], each once; that equality is a theorem and is checked by
+    the verification suite, not here.
     """
-    new = tuple.__new__  # the loops make valid indices, so skip the constructors' checks
     n = 1
     while 4 * n - 4 <= bound:
         j = 1 if n == 1 else 0
         head = ((4 * n - 2) << j) - 2  # the degree of (n, j, 0)
         while head <= bound:
-            degree, i = head, 0
+            degrees, degree = [], head
             while degree <= bound:
-                yield new(TableEntry, (degree, new(StageTriple, (n, j, i))))
-                degree, i = 2 * degree + 1, i + 1
+                degrees.append(degree)
+                degree = 2 * degree + 1
+            yield n, j, degrees
             head, j = 2 * head + 2, j + 1
         n += 1
 
 
+def iter_stages(bound: int) -> Iterator[TableEntry]:
+    """All generator-bearing stages with degree <= bound, as (degree,
+    triple) entries in stage order, one at a time: the runs of
+    iter_runs(bound), entry by entry."""
+    new = tuple.__new__  # the runs hold valid indices, so skip the constructors' checks
+    for n, j, degrees in iter_runs(bound):
+        for i, degree in enumerate(degrees):
+            yield new(TableEntry, (degree, new(StageTriple, (n, j, i))))
+
+
 def stages_up_to_degree(bound: int) -> tuple[TableEntry, ...]:
     """The stage table up to bound: every entry of iter_stages(bound)."""
-    return tuple(iter_stages(bound))
+    # iter_stages' entries, built in this one loop: the checks build a table
+    # on every call, and tuple(iter_stages(bound)) takes about a tenth longer.
+    new = tuple.__new__
+    table = []
+    add = table.append
+    for n, j, degrees in iter_runs(bound):
+        i = 0
+        for degree in degrees:
+            add(new(TableEntry, (degree, new(StageTriple, (n, j, i)))))
+            i += 1
+    return tuple(table)

@@ -23,17 +23,20 @@ off the steps.  Recipes are symbolic terms only; nothing here builds an
 actual cell or simplicial model.
 
 Cup-1 takes stage (n, j, i) to (n, j, i + 1) and cup-2 takes (n, j, 0)
-to (n, j + 1, 0), so a stage table's terms are rendered from the ones
-before them: each entry with i >= 1 as the cup-1 of the term before it,
-the first entry of each (n, j) run as the cup-2 of the first entry of
-run (n, j - 1), and only the first entry of each n from its recipe.
+to (n, j + 1, 0), so each term of a run of stages (n, j, 0), (n, j, 1),
+... is the cup-1 of the term before it, and the first term of each run
+is the cup-2 of the first term of the run before it, except for the
+first run of each n, which is expanded from its recipe.  A term is
+wrapped in a cup step by CUP_OPEN[m] before it and CUP_CLOSE after it,
+so a caller that walks the runs, as the table command does, renders
+each term from the one before it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .degrees import StageTriple, TableEntry, decompose
+from .degrees import StageTriple, decompose
 
 
 class RuleNotApplicableError(ValueError):
@@ -120,8 +123,8 @@ def stage_recipe(t: StageTriple) -> CupRecipe:
 
 
 # Cup-m of a term T renders as P(m,T): the text before T for each m, and after it.
-_CUP_OPEN = {1: "P(1,", 2: "P(2,"}
-_CUP_CLOSE = ")"
+CUP_OPEN = {1: "P(1,", 2: "P(2,"}
+CUP_CLOSE = ")"
 
 
 def expand(r: CupRecipe) -> str:
@@ -130,32 +133,8 @@ def expand(r: CupRecipe) -> str:
     Steps apply innermost first, so the base sits at the centre and the
     last step is the outermost wrapper.
     """
-    opens = [_CUP_OPEN[m] for m in reversed(r.steps)]
-    return "".join([*opens, f"RP^{r.base_dim}", _CUP_CLOSE * len(opens)])
-
-
-def table_terms(table: Iterable[TableEntry]) -> Iterator[str]:
-    """The term of each entry of a stage table, in its order, one at a time.
-
-    The table must be in stage order from the start of each (n, j) run,
-    as iter_stages yields it.  Cup-1 takes degree d to 2d + 1, the step
-    from stage (n, j, i) to (n, j, i + 1), so each entry with i >= 1 is
-    the cup-1 of the entry before it.  Cup-2 takes d to 2d + 2, the step
-    from (n, j, 0) to (n, j + 1, 0), so the first entry of a run is the
-    cup-2 of the first entry of the run before it when that run is
-    (n, j - 1).  Only the first run of each n is expanded from its recipe.
-    """
-    cup1, cup2 = _CUP_OPEN[1], _CUP_OPEN[2]
-    head = term = ""
-    previous = None  # the stage of head, the first term of the last run
-    for _, t in table:
-        if t.i:
-            term = cup1 + term + _CUP_CLOSE
-        else:
-            n, j, _ = t
-            head = cup2 + head + _CUP_CLOSE if previous == (n, j - 1, 0) else expand(stage_recipe(t))
-            term, previous = head, t
-        yield term
+    opens = [CUP_OPEN[m] for m in reversed(r.steps)]
+    return "".join([*opens, f"RP^{r.base_dim}", CUP_CLOSE * len(opens)])
 
 
 def indecomposable(r: CupRecipe) -> tuple[Justification, ...]:

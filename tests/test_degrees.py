@@ -13,6 +13,7 @@ from cobfilt.degrees import (
     compose,
     decompose,
     is_excluded,
+    iter_runs,
     iter_stages,
     stages_up_to_degree,
 )
@@ -223,6 +224,55 @@ def test_each_later_stage_of_a_run_follows_the_one_it_is_the_cup1_of(bound):
             before = table[k - 1]
             assert before.triple == StageTriple(n, j, i - 1)
             assert entry.degree == 2 * before.degree + 1
+
+
+# the bounds 0..300 and 10^4
+RUN_BOUNDS = [*range(301), 10**4]
+
+
+def test_flattened_runs_are_the_stage_table():
+    for bound in RUN_BOUNDS:
+        flat = tuple(
+            (degree, (n, j, i))
+            for n, j, degrees in iter_runs(bound)
+            for i, degree in enumerate(degrees)
+        )
+        assert flat == stages_up_to_degree(bound) == tuple(iter_stages(bound))
+
+
+def test_a_run_takes_cup1_steps_until_the_bound():
+    for bound in RUN_BOUNDS:
+        for _, _, degrees in iter_runs(bound):
+            assert degrees and degrees[-1] <= bound
+            for before, degree in zip(degrees, degrees[1:]):
+                assert degree == 2 * before + 1
+            assert 2 * degrees[-1] + 1 > bound
+
+
+def test_the_runs_of_one_n_take_cup2_steps_from_its_first_head():
+    for bound in RUN_BOUNDS:
+        previous = None  # (n, j, head) of the run before
+        for n, j, degrees in iter_runs(bound):
+            if previous is not None and previous[0] == n:
+                assert (j, degrees[0]) == (previous[1] + 1, 2 * previous[2] + 2)
+            else:
+                # A new n starts where the degree formula puts (n, j, 0): j = 1 for n = 1.
+                assert n == (1 if previous is None else previous[0] + 1)
+                assert j == (1 if n == 1 else 0)
+                assert degrees[0] == compose(StageTriple(n, j, 0))
+            previous = n, j, degrees[0]
+
+
+def test_the_first_run_is_n_one_from_j_one():
+    assert list(iter_runs(1)) == []
+    assert list(iter_runs(6)) == [(1, 1, [2, 5]), (1, 2, [6]), (2, 0, [4])]
+    assert next(iter_runs(10**4))[:2] == (1, 1)
+
+
+def test_the_stage_table_builds_unchecked_records():
+    for entry in stages_up_to_degree(300):
+        assert type(entry) is TableEntry and type(entry.triple) is StageTriple
+        assert entry.triple == StageTriple(*entry.triple)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import cobfilt.spaces as spaces
-from cobfilt.degrees import stages_up_to_degree
+from cobfilt.degrees import decompose, stages_up_to_degree
+from cobfilt.series import TruncatedSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,3 +56,26 @@ def test_stage_walkthrough_exits_one_on_a_mismatch(monkeypatch, capsys):
     assert "  quotient  1/(1 - t^6)  [MISMATCH]\n" in out
     assert out.count("[MISMATCH]") == 1
     assert out.count("[ok]") == len(stages_up_to_degree(16)) - 1
+
+
+def test_stage_walkthrough_goes_on_past_a_stage_the_one_before_does_not_divide(monkeypatch, capsys):
+    # The stage of degree 5 reports the unit series.  Dividing it by the stage
+    # before, 1/(1 - t^2), would need a negative coefficient; and the next
+    # stage, of degree 11, is then not 1/(1 - t^11) times it either.
+    original, five = spaces.adams_homotopy_series, decompose(5)
+    monkeypatch.setattr(
+        spaces,
+        "adams_homotopy_series",
+        lambda t, cap: TruncatedSeries.unit(cap) if t == five else original(t, cap),
+    )
+    monkeypatch.setattr(sys, "argv", ["stage_walkthrough.py", "--bound", "16"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(ROOT / "scripts" / "stage_walkthrough.py"), run_name="__main__")
+    assert exited.value.code == 1
+    out = capsys.readouterr().out
+    stages = [line for line in out.splitlines() if line.startswith("stage (")]
+    assert stages == [f"stage ({n},{j},{i}): new generator x_{d}" for d, (n, j, i) in stages_up_to_degree(16)]
+    assert "  quotient  1/(1 - t^5)  [MISMATCH: quotient coefficient in degree 2 would be -1]\n" in out
+    assert "  quotient  1/(1 - t^11)  [MISMATCH]\n" in out
+    assert out.count("[MISMATCH") == 2
+    assert out.count("[ok]") == len(stages) - 2
