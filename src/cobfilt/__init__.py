@@ -23,8 +23,6 @@ from .degrees import (
     compose,
     decompose,
     is_excluded,
-    iter_runs,
-    iter_stages,
     stages_up_to_degree,
 )
 from .manifolds import (

@@ -47,7 +47,7 @@ from .checks import (
     verify_simple_systems,
 )
 from .degrees import ExcludedDegreeError, StageTriple, compose, decompose, iter_runs
-from .manifolds import CUP_CLOSE, CUP_OPEN, expand, indecomposable, stage_recipe
+from .manifolds import cup_wrapping, expand, indecomposable, stage_recipe
 from .spaces import adams_homotopy_series, steenrod_series, thom_homology_series
 
 EXIT_OK = 0
@@ -224,14 +224,14 @@ def _table_rows(max_degree: int, as_json: bool) -> Iterator[str]:
     before it.  Each row is formatted right there, from its run's n and j
     and its own degree, i and term.
     """
-    cup1, cup2, close = CUP_OPEN[1], CUP_OPEN[2], CUP_CLOSE
+    (cup1, close), (cup2, _) = cup_wrapping(1), cup_wrapping(2)
     if not as_json:
         yield f"{'degree':<8}{'stage':<12}recipe"
     count = 0
-    head = ""
+    head, last_n = "", 0
     for n, j, degrees in iter_runs(max_degree):
-        if j == (n == 1):  # the first run of n: j = 1 for n = 1, and j = 0 after
-            head = expand(stage_recipe(StageTriple(n, j, 0)))
+        if n != last_n:
+            head, last_n = expand(stage_recipe(StageTriple(n, j, 0))), n
         else:
             head = f"{cup2}{head}{close}"
         # What rows of this run share: their stage's j and n in JSON, "(n,j," in text.

@@ -16,8 +16,7 @@ that this is not the degree order: the stage of degree 11 precedes the
 stage of degree 6.  The stages come in runs: the stages (n, j, 0),
 (n, j, 1), ... share n and j, and iter_runs yields each run's n, j and
 degrees in that order.  The stage table up to a degree bound is a plain
-tuple of (degree, triple) entries in that order, and iter_stages yields
-the same entries one at a time; both read the runs.
+tuple of (degree, triple) entries in that order, read off the runs.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ class StageTriple(_Triple):
     """Filtration index (n, j, i); comparison is lexicographic.
 
     A plain tuple underneath, so it compares, hashes and unpacks as
-    (n, j, i) does.  The constructor checks the indices; iter_stages and
+    (n, j, i) does.  The constructor checks the indices;
     stages_up_to_degree, whose runs hold valid indices by construction,
-    build their triples with tuple.__new__ and skip the check.
+    builds its triples with tuple.__new__ and skips the check.
     """
 
     __slots__ = ()
@@ -145,21 +144,11 @@ def iter_runs(bound: int) -> Iterator[tuple[int, int, list[int]]]:
         n += 1
 
 
-def iter_stages(bound: int) -> Iterator[TableEntry]:
-    """All generator-bearing stages with degree <= bound, as (degree,
-    triple) entries in stage order, one at a time: the runs of
-    iter_runs(bound), entry by entry."""
-    new = tuple.__new__  # the runs hold valid indices, so skip the constructors' checks
-    for n, j, degrees in iter_runs(bound):
-        for i, degree in enumerate(degrees):
-            yield new(TableEntry, (degree, new(StageTriple, (n, j, i))))
-
-
 def stages_up_to_degree(bound: int) -> tuple[TableEntry, ...]:
-    """The stage table up to bound: every entry of iter_stages(bound)."""
-    # iter_stages' entries, built in this one loop: the checks build a table
-    # on every call, and tuple(iter_stages(bound)) takes about a tenth longer.
-    new = tuple.__new__
+    """All generator-bearing stages with degree <= bound, as (degree,
+    triple) entries in stage order: the runs of iter_runs(bound), entry
+    by entry."""
+    new = tuple.__new__  # the runs hold valid indices, so skip the constructors' checks
     table = []
     add = table.append
     for n, j, degrees in iter_runs(bound):

@@ -26,10 +26,10 @@ Cup-1 takes stage (n, j, i) to (n, j, i + 1) and cup-2 takes (n, j, 0)
 to (n, j + 1, 0), so each term of a run of stages (n, j, 0), (n, j, 1),
 ... is the cup-1 of the term before it, and the first term of each run
 is the cup-2 of the first term of the run before it, except for the
-first run of each n, which is expanded from its recipe.  A term is
-wrapped in a cup step by CUP_OPEN[m] before it and CUP_CLOSE after it,
-so a caller that walks the runs, as the table command does, renders
-each term from the one before it.
+first run of each n, which is expanded from its recipe.  cup_wrapping
+gives the text one step puts around a term, so a caller that walks the
+runs, as the table command does, renders each term from the one before
+it.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ def stage_recipe(t: StageTriple) -> CupRecipe:
 
 
 # Cup-m of a term T renders as P(m,T): the text before T for each m, and after it.
-CUP_OPEN = {1: "P(1,", 2: "P(2,"}
-CUP_CLOSE = ")"
+_CUP_OPEN = {1: "P(1,", 2: "P(2,"}
+_CUP_CLOSE = ")"
 
 
 def expand(r: CupRecipe) -> str:
@@ -133,8 +133,15 @@ def expand(r: CupRecipe) -> str:
     Steps apply innermost first, so the base sits at the centre and the
     last step is the outermost wrapper.
     """
-    opens = [CUP_OPEN[m] for m in reversed(r.steps)]
-    return "".join([*opens, f"RP^{r.base_dim}", CUP_CLOSE * len(opens)])
+    opens = [_CUP_OPEN[m] for m in reversed(r.steps)]
+    return "".join([*opens, f"RP^{r.base_dim}", _CUP_CLOSE * len(opens)])
+
+
+def cup_wrapping(m: int) -> tuple[str, str]:
+    """The text one cup-m step puts before and after a term: the term T
+    of a manifold renders its cup-m as before + T + after, one more step
+    on the outside of expand's rendering."""
+    return _CUP_OPEN[m], _CUP_CLOSE
 
 
 def indecomposable(r: CupRecipe) -> tuple[Justification, ...]:

@@ -14,7 +14,6 @@ from cobfilt.degrees import (
     decompose,
     is_excluded,
     iter_runs,
-    iter_stages,
     stages_up_to_degree,
 )
 
@@ -237,7 +236,7 @@ def test_flattened_runs_are_the_stage_table():
             for n, j, degrees in iter_runs(bound)
             for i, degree in enumerate(degrees)
         )
-        assert flat == stages_up_to_degree(bound) == tuple(iter_stages(bound))
+        assert flat == stages_up_to_degree(bound)
 
 
 def test_a_run_takes_cup1_steps_until_the_bound():
@@ -267,12 +266,6 @@ def test_the_first_run_is_n_one_from_j_one():
     assert list(iter_runs(1)) == []
     assert list(iter_runs(6)) == [(1, 1, [2, 5]), (1, 2, [6]), (2, 0, [4])]
     assert next(iter_runs(10**4))[:2] == (1, 1)
-
-
-def test_the_stage_table_builds_unchecked_records():
-    for entry in stages_up_to_degree(300):
-        assert type(entry) is TableEntry and type(entry.triple) is StageTriple
-        assert entry.triple == StageTriple(*entry.triple)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +317,11 @@ def test_sorting_shuffled_triples_restores_the_table_order():
 
 
 def test_unchecked_stages_are_the_checked_triples_of_their_degrees():
-    # iter_stages skips the constructor's check, so compare each entry with
-    # the triple decompose builds, and rebuild it through the check.
-    count = 0
-    for entry in iter_stages(10**4):
+    # stages_up_to_degree skips the constructor's check, so compare each entry
+    # with the triple decompose builds, and rebuild it through the check.
+    table = stages_up_to_degree(10**4)
+    for entry in table:
         degree, triple = entry
         assert type(entry) is TableEntry and type(triple) is StageTriple
         assert triple == decompose(degree) == StageTriple(*triple)
-        count += 1
-    assert count == len(stages_up_to_degree(10**4)) == 10**4 - 13
+    assert len(table) == 10**4 - 13

@@ -8,6 +8,7 @@ from cobfilt.manifolds import (
     CupRecipe,
     Justification,
     RuleNotApplicableError,
+    cup_wrapping,
     expand,
     indecomposable,
     plan,
@@ -140,6 +141,14 @@ def test_expand_parse_round_trip(d):
     for m in reversed(wrappers):
         dim = 2 * dim + m
     assert dim == d
+
+
+@given(st.integers(2, 10**4), st.sampled_from([1, 2]))
+def test_cup_wrapping_adds_one_outer_step_to_expand(d, m):
+    assume(not is_excluded(d))
+    r = plan(d)
+    before, after = cup_wrapping(m)
+    assert before + expand(r) + after == expand(CupRecipe(r.base_dim, (*r.steps, m)))
 
 
 def test_parse_keeps_hand_built_step_order():
