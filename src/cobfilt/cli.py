@@ -4,7 +4,8 @@ models, and verification suite.
 Every command emits one output envelope, as aligned text or as JSON
 with sorted keys, and state flows only through flags.  Exit codes:
 0 success, 1 verification failure, 2 domain error, 64 usage error,
-70 internal error, 74 stdout closed before all the output was written.
+70 internal error, 74 stdout closed, or a write to it failed, before all
+the output was written.
 Commands return before anything is written; table alone makes its rows
 while main writes them, which is safe because it cannot fail once its
 argument parses (see main).
@@ -19,13 +20,12 @@ as --js, so a literal --json is the only way to ask for an envelope.
 An argv that starts with a command is read by _read, from that
 command's own parser's actions, when each token after the command is an
 exact option string, an option's value or a positional, and each value
-passes its type and choices.  That command's parser, argparse, parses
-every other argv (-h, --, --cap=5, a value starting with -, a bad,
-missing or leftover value), to word its error or print its help; so the
-parsers stay the one declaration of every command.  _PARSER speaks only
-for argv that do not start with a command: help, a missing command or
-an invalid one.  Its -h text is a short description for users, not this
-docstring.
+passes its type and choices.  _PARSER, argparse, parses every other
+argv (-h, --, --cap=5, a value starting with -, a bad, missing or
+leftover value, a missing or invalid command), to word its error or
+print its help, and hands what follows a command to that command's
+parser; so the parsers stay the one declaration of every command.
+_PARSER's -h text is a short description for users, not this docstring.
 """
 
 from __future__ import annotations
@@ -348,15 +348,14 @@ _p.add_argument("--check", choices=["all", *_CHECK_RUNNERS], default="all")
 _p.add_argument("--cap", type=_verify_cap, default=DEFAULT_CAP)
 _p.add_argument("--json", action="store_true")
 _p.set_defaults(func=_cmd_verify)
-# Each command's own parser, by name: main hands it the argv after the name,
-# as _PARSER's subcommand positional (nargs=PARSER) would, -h, -- and junk too.
+# Each command's own parser, by name: _read reads the argv after the name from it.
 _COMMANDS: dict[str, argparse.ArgumentParser] = _sub.choices
 del _sub, _p
 
 
 def _read(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
-    """parser.parse_known_args(argv)'s Namespace, for an argv it parses with
-    nothing left over, read from the parser's own actions and defaults.
+    """parser.parse_args(argv)'s Namespace, for an argv it parses, read
+    from the parser's own actions and defaults.
 
     A token equal to an option string sets a flag or takes the next token
     as its value; any other token fills the next positional; each value
@@ -465,24 +464,18 @@ def main(argv: list[str] | None = None) -> int:
     chunks, so its memory stays bounded whatever the bound.  That is safe
     because table cannot fail once its argument parses: it is integer
     arithmetic and string formatting over the stage loop, and the only
-    way its output can end early is a closed stdout, which exits 74.
+    way its output can end early is a closed or failing stdout, which exits 74.
     """
     argv = sys.argv[1:] if argv is None else argv
     # Until argv parses, only a leading command name with a literal --json asks for an envelope.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     as_json, parameters = command is not None and "--json" in argv, {}
     try:
-        if command is None:
+        ns = _read(_COMMANDS[command], argv[1:]) if command is not None else None
+        if ns is None:  # argparse parses what _read refuses, to word the error or print help
             ns = _PARSER.parse_args(argv)
-        else:
-            parser = _COMMANDS[command]
-            ns = _read(parser, argv[1:])
-            if ns is None:  # argparse parses what _read refuses, to word the error or print help
-                ns, extras = parser.parse_known_args(argv[1:])
-                if extras:  # worded as _PARSER.parse_args words them
-                    _PARSER.error("unrecognized arguments: " + " ".join(extras))
-            ns.command = command
-        command, as_json, parameters = ns.command, ns.json, _parameters(ns)
+            command = ns.command
+        as_json, parameters = ns.json, _parameters(ns)
         # Refused before any work: a series without its stage, then a cap above its limit.
         kind = getattr(ns, "check", getattr(ns, "what", None))
         if kind in ("homotopy", "homology") and ns.stage is None:
@@ -519,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # table's rows are made here, as they are written; it cannot fail (see above).
         _write(pieces, end)
-    except BrokenPipeError:  # the reader went away, as in `cobfilt table 100000 | head -1`
+    except OSError:  # a closed pipe, as in `cobfilt table 100000 | head -1`, or a full disk
         # Point stdout at devnull so the interpreter's flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IOERR

@@ -16,12 +16,19 @@ that this is not the degree order: the stage of degree 11 precedes the
 stage of degree 6.  The stages come in runs: the stages (n, j, 0),
 (n, j, 1), ... share n and j, and iter_runs yields each run's n, j and
 degrees in that order.  The stage table up to a degree bound is a plain
-tuple of (degree, triple) entries in that order, read off the runs.
+tuple of (degree, triple) entries in that order, read off the runs, and
+cached per bound: the checks and the stage series read it at every stage.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, NamedTuple
+
+# Entries each cache keeps, here and in spaces, for the most recent caps: more than
+# the few caps a pass cycles through, and few enough that a loop over many caps
+# keeps memory bounded.
+_CACHE_SIZE = 16
 
 
 class ExcludedDegreeError(ValueError):
@@ -46,9 +53,7 @@ class StageTriple(_Triple):
     """Filtration index (n, j, i); comparison is lexicographic.
 
     A plain tuple underneath, so it compares, hashes and unpacks as
-    (n, j, i) does.  The constructor checks the indices;
-    stages_up_to_degree, whose runs hold valid indices by construction,
-    builds its triples with tuple.__new__ and skips the check.
+    (n, j, i) does.  The constructor checks the indices.
     """
 
     __slots__ = ()
@@ -144,16 +149,13 @@ def iter_runs(bound: int) -> Iterator[tuple[int, int, list[int]]]:
         n += 1
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def stages_up_to_degree(bound: int) -> tuple[TableEntry, ...]:
     """All generator-bearing stages with degree <= bound, as (degree,
     triple) entries in stage order: the runs of iter_runs(bound), entry
-    by entry."""
-    new = tuple.__new__  # the runs hold valid indices, so skip the constructors' checks
-    table = []
-    add = table.append
-    for n, j, degrees in iter_runs(bound):
-        i = 0
-        for degree in degrees:
-            add(new(TableEntry, (degree, new(StageTriple, (n, j, i)))))
-            i += 1
-    return tuple(table)
+    by entry.  Cached for the last 16 bounds."""
+    return tuple(
+        TableEntry(degree, StageTriple(n, j, i))
+        for n, j, degrees in iter_runs(bound)
+        for i, degree in enumerate(degrees)
+    )

@@ -5,7 +5,8 @@ counts.
 The dual Steenrod algebra A_* is polynomial on classes xi_k in degrees
 2^k - 1, so its degree-t dimension counts the partitions of t into
 parts 2^k - 1.  Its series is cached for the last 16 caps, and its
-coefficients first exceed 64 bits in degree 29,781.
+coefficients first exceed 64 bits in degree 29,781.  A stage's generators
+are a prefix of the stage table, which degrees caches per bound.
 
 A filtration stage (n, j, i) contributes the Thom-complex homology
 A_* (x) Z/2[one generator per stage up to this one] (Thom 1954).  The
@@ -27,12 +28,8 @@ from bisect import bisect_right
 from functools import lru_cache
 from operator import attrgetter
 
-from .degrees import StageTriple, TableEntry, stages_up_to_degree
+from .degrees import _CACHE_SIZE, StageTriple, stages_up_to_degree
 from .series import AlgebraSpec, TruncatedSeries, mul_polynomial, series_of
-
-# Entries each cache keeps, for the most recent caps: more than the few caps a
-# pass cycles through, and few enough that a loop over many caps keeps memory bounded.
-_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -43,19 +40,13 @@ def steenrod_series(cap: int) -> TruncatedSeries:
     return series_of(AlgebraSpec((1 << k) - 1 for k in range(1, (cap + 1).bit_length())), cap)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _stage_table(bound: int) -> tuple[TableEntry, ...]:
-    # One build per bound: a verify pass asks for the same table at every stage.
-    return stages_up_to_degree(bound)
-
-
 def stage_generator_degrees(t: StageTriple, bound: int) -> list[int]:
     """Degrees of all generators present at stage t, capped at bound.
 
     Listed in stage order, so the list for a later stage extends the
     list for an earlier one.  The base stage contributes nothing.
     """
-    table = _stage_table(bound)
+    table = stages_up_to_degree(bound)  # cached per bound
     # The table is in stage order, so the stages up to t are a prefix of it.
     present = bisect_right(table, t, key=attrgetter("triple"))
     return [entry.degree for entry in table[:present]]

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -382,6 +383,15 @@ def test_verify_all_small_cap(run_cli):
     code, out, _ = run_cli("verify", "--check", "all", "--cap", "16")
     assert code == 0
     assert "result: all checks passed" in out
+
+
+def test_verify_calls_share_one_stage_table(run_cli):
+    # the checks and the stage series read the one cached table of each bound
+    stages_up_to_degree.cache_clear()
+    for _ in range(3):
+        assert run_cli("verify", "--check", "all", "--cap", "64")[0] == 0
+    assert stages_up_to_degree.cache_info().misses == 1
+    stages_up_to_degree.cache_clear()
 
 
 def test_verify_product_reports_series(run_cli_json):
@@ -1031,6 +1041,21 @@ def test_closed_stdout_exits_74_without_a_traceback():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=120), err) == (74, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "100000"), ("table", "100000", "--json"), ("decompose", "5"), ("decompose", "5", "--json")],
+    ids=" ".join,
+)
+def test_full_stdout_exits_74_without_a_traceback(argv):
+    # as in `cobfilt decompose 5 > /dev/full`: every write to stdout fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cobfilt", *argv], stdout=full, stderr=subprocess.PIPE, timeout=120
+        )
+    assert (proc.returncode, proc.stderr) == (74, b"")
 
 
 def test_table_piped_into_head_exits_74_without_a_traceback():

@@ -317,8 +317,8 @@ def test_sorting_shuffled_triples_restores_the_table_order():
 
 
 def test_unchecked_stages_are_the_checked_triples_of_their_degrees():
-    # stages_up_to_degree skips the constructor's check, so compare each entry
-    # with the triple decompose builds, and rebuild it through the check.
+    # stages_up_to_degree builds each triple from the runs' indices, so compare
+    # each entry with the triple decompose builds, and rebuild it through the check.
     table = stages_up_to_degree(10**4)
     for entry in table:
         degree, triple = entry

@@ -77,23 +77,17 @@ def test_stage_degrees_equal_the_plain_filter(t, bound):
     assert stage_generator_degrees(t, bound) == expected
 
 
-def test_stage_table_is_built_once_per_bound(monkeypatch):
-    # every stage of the quotient check asks spaces for the same table
-    builds = []
-
-    def counted(bound):
-        builds.append(bound)
-        return stages_up_to_degree(bound)
-
-    spaces._stage_table.cache_clear()
-    monkeypatch.setattr(spaces, "stages_up_to_degree", counted)
+def test_stage_table_is_built_once_per_bound():
+    # the quotient check and every stage series it builds read the same table
+    stages_up_to_degree.cache_clear()
     assert verify_quotient_steps(32).passed
-    assert builds == [32]
-    spaces._stage_table.cache_clear()
+    stages_up_to_degree(32)  # a hit, so the one build was of bound 32
+    assert stages_up_to_degree.cache_info().misses == 1
+    stages_up_to_degree.cache_clear()
 
 
 def test_the_caches_stay_bounded_over_many_caps():
-    caches = (spaces.steenrod_series, spaces._stage_table)
+    caches = (spaces.steenrod_series, stages_up_to_degree)
     for cache in caches:
         cache.cache_clear()
     for cap in range(4 * spaces._CACHE_SIZE):
