@@ -40,7 +40,6 @@ from .series import (
     TruncatedSeries,
     exact_div,
     mul,
-    mul_polynomial,
     series_of,
     simple_system_series,
 )

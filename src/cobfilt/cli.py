@@ -25,7 +25,8 @@ argv (-h, --, --cap=5, a value starting with -, a bad, missing or
 leftover value, a missing or invalid command), to word its error or
 print its help, and hands what follows a command to that command's
 parser; so the parsers stay the one declaration of every command.
-_PARSER's -h text is a short description for users, not this docstring.
+_PARSER's -h text is a short description for users, not this docstring;
+main writes it, as it writes any output.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ _CAP_LIMITS: dict[tuple[str, str], tuple[int, type[Exception]]] = {
     ("verify", "all"): (539, OverflowError),
     # A_* first overflows in degree 29,781.
     ("series", "steenrod"): (29780, OverflowError),
-    # The worst stage runs about cap^2/2 stride steps: about 4 s at this cap.
+    # The worst stage runs about cap^2/2 stride steps, homology and homotopy
+    # alike, and checks its series once they are done: about 5 s at this cap.
     ("series", "homology"): (8000, _CapLimit),
     ("series", "homotopy"): (8000, _CapLimit),
     # Its time grows as cap^2: about 3.5 s at this cap.
@@ -118,11 +120,20 @@ _CAP_LIMITS: dict[tuple[str, str], tuple[int, type[Exception]]] = {
 }
 
 
+class _Help(Exception):
+    """-h was asked for: the help text, which main writes as it writes any output."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; the CLI contract reserves 2 for
     # domain errors and uses 64 for usage problems, reported by main.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+    # argparse would write the help itself and drop a failed write, so a
+    # help text lost to a full disk would still exit 0.
+    def print_help(self, file=None) -> None:  # type: ignore[override]
+        raise _Help(self.format_help())
 
 
 def _nonneg_int(text: str) -> int:
@@ -489,8 +500,8 @@ def main(argv: list[str] | None = None) -> int:
             raise _CapLimit(f"cap {ns.cap} is above {limit}, the work limit of {name}")
         status, result, lines = ns.func(ns)
         key, value = "result", result
-    except SystemExit as exc:  # argparse printed the help text
-        return int(exc.code or 0)
+    except _Help as exc:  # as text, whatever else the argv holds
+        status, as_json, lines = EXIT_OK, False, [str(exc).removesuffix("\n")]
     except Exception as exc:
         # Commands return before anything is written, so nothing reached stdout yet.
         status, code = next((s, c) for cls, s, c in _ERRORS if isinstance(exc, cls))

@@ -8,12 +8,12 @@ series by multiplying one factor 1 / (1 - t^d) per generator of degree d.
 
 Each such factor is a stride kernel on one list of coefficients, O(cap)
 per generator: multiplying by 1 / (1 - t^d) is a forward running sum
-with stride d.  series_of runs one per generator on the unit series,
-and mul_polynomial on a given series, checking each degree as soon as
-no later sum can change it.  No stride kernel divides: the Adams
-spectral sequence of a stage collapses, so its homotopy is the series
-of its own polynomial algebra, with no A_* factor to divide out.  A
-height-1 factor 1 + t^e is one descending pass (simple_system_series).
+with stride d.  series_of runs one per generator on the unit series
+and checks the result once, at the end.  Every stage series is one
+series_of call: no stride kernel divides, because the Adams spectral
+sequence of a stage collapses, so its homotopy is the series of its own
+polynomial algebra, with no A_* factor to divide out.  A height-1
+factor 1 + t^e is one descending pass (simple_system_series).
 The general kernels mul and exact_div stay as the independent routes of
 the checks: the product check multiplies its stagewise route with mul,
 and the quotient check divides each stage by the previous one with
@@ -180,28 +180,6 @@ def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
     """
     coeffs = _unit_list(cap)
     _times_geometric(coeffs, spec.generators_below(cap))
-    return TruncatedSeries(tuple(coeffs))
-
-
-def mul_polynomial(a: TruncatedSeries, times: AlgebraSpec) -> TruncatedSeries:
-    """a times the Poincare series of times, on one list: the same series
-    as mul(a, series_of(times, cap)).
-
-    The product is checked as it grows: the running sums go in ascending
-    degree, and after the pass for d every degree below the next generator
-    is final, so that segment is checked at once.  An overflow then stops
-    the work at its lowest degree, with the message the result's own check
-    would give.
-    """
-    coeffs = list(a.coeffs)
-    cap = len(coeffs) - 1
-    degrees = sorted(times.generators_below(cap))
-    for d, end in zip(degrees, [*degrees[1:], cap + 1]):
-        _times_geometric(coeffs, (d,))
-        # The degrees below end are final.  One C-level pass; on a fault the
-        # check of the series up to end names its lowest degree and raises.
-        if d < end and max(coeffs[d:end]) > U64_MAX:
-            TruncatedSeries(coeffs[:end])
     return TruncatedSeries(tuple(coeffs))
 
 

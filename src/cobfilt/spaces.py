@@ -14,12 +14,12 @@ Adams spectral sequence of such a complex collapses onto its s = 0
 line, so its homotopy is the polynomial algebra on the stage's
 generators alone.
 
-Each series is one stride kernel call, O(cap) per generator.  The Thom
-homology is mul_polynomial on the cached A_* series, and stops at its
-first overflow.  The homotopy is series_of on the stage's generators:
-it reads nothing of A_* and is checked once, at the end, so it
-overflows only where it exceeds 64 bits itself, never at a lower cap
-than the Thom series of the same stage.
+Both stage series are one series_of call, O(cap) per generator, checked
+once, at the end.  The Thom homology is series_of on the xi_k degrees
+followed by the stage's generators; the homotopy is series_of on the
+stage's generators alone, so it reads nothing of A_* and overflows only
+where it exceeds 64 bits itself, never at a lower cap than the Thom
+series of the same stage.
 """
 
 from __future__ import annotations
@@ -29,7 +29,12 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .degrees import _CACHE_SIZE, StageTriple, stages_up_to_degree
-from .series import AlgebraSpec, TruncatedSeries, mul_polynomial, series_of
+from .series import AlgebraSpec, TruncatedSeries, series_of
+
+
+def _xi_degrees(cap: int) -> tuple[int, ...]:
+    # The degrees 2^k - 1 <= cap of the generators xi_k of A_*.
+    return tuple((1 << k) - 1 for k in range(1, (cap + 1).bit_length()))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -37,7 +42,7 @@ def steenrod_series(cap: int) -> TruncatedSeries:
     """Dimension series of the dual Steenrod algebra up to cap: polynomial
     on xi_k in degree 2^k - 1 for every k with 2^k - 1 <= cap.  Its
     coefficients first exceed 64 bits in degree 29,781."""
-    return series_of(AlgebraSpec((1 << k) - 1 for k in range(1, (cap + 1).bit_length())), cap)
+    return series_of(AlgebraSpec(_xi_degrees(cap)), cap)
 
 
 def stage_generator_degrees(t: StageTriple, bound: int) -> list[int]:
@@ -56,9 +61,10 @@ def thom_homology_series(t: StageTriple, cap: int) -> TruncatedSeries:
     """Homology dimensions of the stage-t Thom complex.
 
     The dual Steenrod algebra splits off as a tensor factor, leaving
-    the polynomial algebra on the generators present at the stage.
+    the polynomial algebra on the generators present at the stage, so
+    the whole is polynomial on the xi_k and those generators.
     """
-    return mul_polynomial(steenrod_series(cap), AlgebraSpec(stage_generator_degrees(t, cap)))
+    return series_of(AlgebraSpec((*_xi_degrees(cap), *stage_generator_degrees(t, cap))), cap)
 
 
 def adams_homotopy_series(t: StageTriple, cap: int) -> TruncatedSeries:

@@ -1046,16 +1046,30 @@ def test_closed_stdout_exits_74_without_a_traceback():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
 @pytest.mark.parametrize(
     "argv",
-    [("table", "100000"), ("table", "100000", "--json"), ("decompose", "5"), ("decompose", "5", "--json")],
+    [
+        ("table", "100000"),
+        ("table", "100000", "--json"),
+        ("decompose", "5"),
+        ("decompose", "5", "--json"),
+        ("-h",),
+        ("decompose", "-h"),
+    ],
     ids=" ".join,
 )
 def test_full_stdout_exits_74_without_a_traceback(argv):
-    # as in `cobfilt decompose 5 > /dev/full`: every write to stdout fails with ENOSPC
-    with open("/dev/full", "wb") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "cobfilt", *argv], stdout=full, stderr=subprocess.PIPE, timeout=120
-        )
-    assert (proc.returncode, proc.stderr) == (74, b"")
+    # as in `cobfilt decompose 5 > /dev/full`: every write to stdout fails with ENOSPC,
+    # at the final flush when stdout is buffered and at the write itself when it is not
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cobfilt", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        assert (proc.returncode, proc.stderr) == (74, b""), env.get("PYTHONUNBUFFERED")
 
 
 def test_table_piped_into_head_exits_74_without_a_traceback():

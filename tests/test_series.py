@@ -9,7 +9,6 @@ from cobfilt.series import (
     TruncatedSeries,
     exact_div,
     mul,
-    mul_polynomial,
     series_of,
     simple_system_series,
 )
@@ -121,44 +120,6 @@ def test_ring_series_fits_u64_through_cap_539():
     assert series_of(AlgebraSpec(gens), 539).coeffs[539] <= U64_MAX
     with pytest.raises(OverflowError, match="degree 540 "):
         series_of(AlgebraSpec(gens), 540)
-
-
-# ---------------------------------------------------------------------------
-# mul_polynomial: a series times a polynomial series, stopping at the first overflow
-
-
-@given(capped_specs(), st.data())
-def test_mul_polynomial_equals_convolution(spec_cap, data):
-    spec, cap = spec_cap
-    a = TruncatedSeries(data.draw(coefficient_lists(cap)))
-    expected = mul(a, convolution_product(spec.degrees, cap))
-    assert mul_polynomial(a, spec).coeffs == expected.coeffs
-
-
-def unbounded_product(coeffs, degrees):
-    # a times 1 / (1 - t^d) for each d, as a direct convolution with the
-    # written-out geometric series, on plain integers no container bounds
-    cap = len(coeffs) - 1
-    out = list(coeffs)
-    for d in degrees:
-        out = [sum(out[t - u] for u in range(0, t + 1, d)) for t in range(cap + 1)]
-    return out
-
-
-@given(capped_specs(max_cap=12), st.data())
-def test_mul_polynomial_stops_at_the_lowest_overflow(spec_cap, data):
-    # coefficients near the bound, so most products overflow somewhere
-    spec, cap = spec_cap
-    near = st.one_of(st.integers(0, 3), st.integers(U64_MAX - 2**62, U64_MAX))
-    coeffs = data.draw(st.lists(near, min_size=cap + 1, max_size=cap + 1))
-    expected = unbounded_product(coeffs, spec.degrees)
-    over = [t for t, c in enumerate(expected) if c > U64_MAX]
-    if over:
-        with pytest.raises(OverflowError) as raised:
-            mul_polynomial(TruncatedSeries(coeffs), spec)
-        assert str(raised.value) == f"coefficient in degree {over[0]} exceeds the 64-bit bound"
-    else:
-        assert list(mul_polynomial(TruncatedSeries(coeffs), spec).coeffs) == expected
 
 
 # ---------------------------------------------------------------------------

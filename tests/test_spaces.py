@@ -5,7 +5,7 @@ import cobfilt.series
 import cobfilt.spaces as spaces
 from cobfilt.checks import partition_dp, verify_quotient_steps
 from cobfilt.degrees import BASE, StageTriple, stages_up_to_degree
-from cobfilt.series import AlgebraSpec, exact_div, mul, series_of
+from cobfilt.series import U64_MAX, AlgebraSpec, exact_div, mul, series_of
 from cobfilt.spaces import (
     adams_homotopy_series,
     stage_generator_degrees,
@@ -91,14 +91,17 @@ def test_the_caches_stay_bounded_over_many_caps():
     for cache in caches:
         cache.cache_clear()
     for cap in range(4 * spaces._CACHE_SIZE):
+        steenrod_series(cap)
         thom_homology_series(StageTriple(1, 1, 0), cap)
         assert all(cache.cache_info().currsize <= spaces._CACHE_SIZE for cache in caches)
     # a pass cycling through a few caps still finds every one cached
     few = range(6)
     for cap in few:
+        steenrod_series(cap)
         thom_homology_series(StageTriple(1, 1, 0), cap)
     before = [cache.cache_info().misses for cache in caches]
     for cap in few:
+        steenrod_series(cap)
         thom_homology_series(StageTriple(1, 1, 0), cap)
     assert [cache.cache_info().misses for cache in caches] == before
     for cache in caches:
@@ -190,24 +193,62 @@ def test_thom_series_fits_u64_through_cap_416():
         thom_homology_series(last, 417)
 
 
-def test_thom_series_stops_at_its_first_overflow(monkeypatch):
-    # The Thom route checks each degree once no later running sum can change
-    # it, so it stops in degree 417 without a pass for any generator above it.
-    passes = []
-
-    def recording(coeffs, degrees):
-        passes.extend(degrees)
-        original(coeffs, degrees)
-
-    steenrod_series(600)  # cached before the kernel is wrapped, so only the stage's passes show
-    original = cobfilt.series._times_geometric
-    monkeypatch.setattr(cobfilt.series, "_times_geometric", recording)
+def test_thom_series_first_overflows_in_degree_417_at_cap_600():
     last = StageTriple(151, 0, 0)  # the last stage at cap 600, so it carries every generator
     assert stages_up_to_degree(600)[-1].triple == last
     with pytest.raises(OverflowError, match="^coefficient in degree 417 exceeds the 64-bit bound$"):
         thom_homology_series(last, 600)
-    assert passes == sorted(passes)
-    assert max(passes) == 417
+
+
+def test_thom_series_counts_partitions_at_every_stage(monkeypatch):
+    # One running sum per xi_k, then one per stage generator: the Thom series
+    # is the polynomial algebra's on both, counted here as partitions into the
+    # two disjoint sets of degrees, by an Euler transform that shares no kernel
+    # with series_of.
+    def recording(coeffs, degrees):
+        passes.extend(degrees)
+        original(coeffs, degrees)
+
+    original = cobfilt.series._times_geometric
+    monkeypatch.setattr(cobfilt.series, "_times_geometric", recording)
+    for cap in range(65):
+        xi = [2**k - 1 for k in range(1, 7) if 2**k - 1 <= cap]
+        for t in [BASE] + [e.triple for e in stages_up_to_degree(cap)]:
+            passes = []
+            degrees = xi + stage_generator_degrees(t, cap)
+            assert thom_homology_series(t, cap).coeffs == partition_dp(degrees, cap).coeffs, (t, cap)
+            assert passes == degrees, (t, cap)
+
+
+def unbounded_product(coeffs, degrees):
+    # a times 1 / (1 - t^d) for each d, as a direct convolution with the
+    # written-out geometric series, on plain integers no container bounds
+    cap = len(coeffs) - 1
+    out = list(coeffs)
+    for d in degrees:
+        out = [sum(out[t - u] for u in range(0, t + 1, d)) for t in range(cap + 1)]
+    return out
+
+
+def test_thom_series_names_the_lowest_overflow_at_every_stage():
+    # The unbounded counts at cap 420, one factor per stage on top of the
+    # previous stage's: a stage's generators are a prefix of the table, and
+    # truncating at a lower cap drops only the generators above it.
+    top = 420
+    count = unbounded_product([1] + [0] * top, [2**k - 1 for k in range(1, 9)])
+    counts = {BASE: count}
+    for entry in stages_up_to_degree(top):
+        count = counts[entry.triple] = unbounded_product(count, [entry.degree])
+    for cap in range(416, top + 1):
+        for t in [BASE] + [e.triple for e in stages_up_to_degree(cap)]:
+            expected = counts[t][: cap + 1]
+            over = [d for d, c in enumerate(expected) if c > U64_MAX]
+            if over:
+                with pytest.raises(OverflowError) as raised:
+                    thom_homology_series(t, cap)
+                assert str(raised.value) == f"coefficient in degree {over[0]} exceeds the 64-bit bound"
+            else:
+                assert list(thom_homology_series(t, cap).coeffs) == expected, (t, cap)
 
 
 def test_adams_route_fits_u64_through_cap_539():
