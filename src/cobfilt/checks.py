@@ -5,7 +5,8 @@ never takes: exhaustive nested-loop enumeration of stage triples
 instead of valuation arithmetic, the Euler transform of the partition
 recurrence (partition_dp) and a stage-by-stage chain of general
 convolutions (mul) against the stride kernel of series_of, and general
-synthetic division (exact_div) between stages built from scratch.
+synthetic division (exact_div) of each stage by the stage before it,
+whose series series_of extends by one stride pass to build the stage.
 Every single factor 1/(1 - t^d) is built in closed form, 1 in each
 degree divisible by d (_geometric), so series_of serves the product
 route alone.  A pass means independent computations agree coefficient
@@ -173,11 +174,11 @@ def verify_quotient_steps(cap: int) -> CheckReport:
     """Each stage's homotopy series must be the previous stage's times
     exactly 1/(1 - t^d) for the incoming generator degree d.
 
-    Every stage is built from scratch and divided by the previous one
-    with the general exact_div, never by the stride kernels that built
-    it, so a stage cannot agree with its predecessor by construction.
-    The prediction is the closed form _geometric, so a wrong stride
-    kernel cannot predict its own wrong quotient.
+    Walked in stage order, series_of builds stage k by extending stage
+    k - 1's series with one stride pass, so each quotient is one pass.
+    The check divides with the general exact_div, never the stride
+    kernel, and predicts with the closed form _geometric, so a wrong
+    stride kernel cannot predict its own wrong quotient.
     """
     previous = adams_homotopy_series(BASE, cap)
     for entry in stages_up_to_degree(cap):

@@ -8,12 +8,14 @@ series by multiplying one factor 1 / (1 - t^d) per generator of degree d.
 
 Each such factor is a stride kernel on one list of coefficients, O(cap)
 per generator: multiplying by 1 / (1 - t^d) is a forward running sum
-with stride d.  series_of runs one per generator on the unit series
-and checks the result once, at the end.  Every stage series is one
-series_of call: no stride kernel divides, because the Adams spectral
-sequence of a stage collapses, so its homotopy is the series of its own
-polynomial algebra, with no A_* factor to divide out.  A height-1
-factor 1 + t^e is one descending pass (simple_system_series).
+with stride d.  series_of runs one per generator and checks the result
+once, at the end.  It starts from its last result when the generators
+extend that result's at the same cap, else from the unit series, so a
+walk over the stages in order runs one pass per stage.  Every stage
+series is one series_of call: no stride kernel divides, because the
+Adams spectral sequence of a stage collapses, so its homotopy is the
+series of its own polynomial algebra, with no A_* factor to divide out.
+A height-1 factor 1 + t^e is one descending pass (simple_system_series).
 The general kernels mul and exact_div stay as the independent routes of
 the checks: the product check multiplies its stagewise route with mul,
 and the quotient check divides each stage by the previous one with
@@ -173,14 +175,29 @@ def exact_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(q))
 
 
+# The degrees and series of series_of's last result, replaced whole and
+# never mutated: a call reads one whole record, however calls interleave.
+_last: tuple[tuple[int, ...], TruncatedSeries] | None = None
+
+
 def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
     """Poincare series of a polynomial algebra, truncated at cap.
 
     Generators above the cap contribute the factor 1 and are skipped.
+    A call at the cap of the last result, whose degrees begin with that
+    result's, starts from it and runs the remaining factors only.
     """
-    coeffs = _unit_list(cap)
-    _times_geometric(coeffs, spec.generators_below(cap))
-    return TruncatedSeries(tuple(coeffs))
+    global _last
+    degrees = spec.generators_below(cap)
+    last = _last
+    if last is not None and last[1].cap == cap and degrees[: len(last[0])] == last[0]:
+        done, coeffs = len(last[0]), list(last[1].coeffs)
+    else:
+        done, coeffs = 0, _unit_list(cap)
+    _times_geometric(coeffs, degrees[done:])
+    result = TruncatedSeries(tuple(coeffs))
+    _last = (degrees, result)
+    return result
 
 
 def simple_system_series(d: int, cap: int) -> TruncatedSeries:

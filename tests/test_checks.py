@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cobfilt.checks as checks
+import cobfilt.series
 import cobfilt.spaces as spaces
 from cobfilt.checks import (
     CheckReport,
@@ -222,19 +223,33 @@ def test_quotient_steps_report_a_stage_the_previous_one_does_not_divide(monkeypa
     )
 
 
-@pytest.fixture
-def wrong_stride_kernel(monkeypatch):
-    # 1/(1 - 2t^d) for 1/(1 - t^d): wrong, but the same wrong factor everywhere,
-    # A_* included, so the stages still divide one another
-    def doubled(coeffs, degrees):
-        for d in degrees:
-            for t in range(d, len(coeffs)):
-                coeffs[t] += 2 * coeffs[t - d]
+def doubled(coeffs, degrees):
+    # 1/(1 - 2t^d) for 1/(1 - t^d)
+    for d in degrees:
+        for t in range(d, len(coeffs)):
+            coeffs[t] += 2 * coeffs[t - d]
 
-    monkeypatch.setattr("cobfilt.series._times_geometric", doubled)
+
+@pytest.fixture
+def stride_kernel(monkeypatch):
+    # Installs a stride kernel.  series_of resumes from its last result and
+    # steenrod_series caches, so both start and end empty: no series the
+    # kernel built reaches another test.
+    def install(kernel):
+        monkeypatch.setattr(cobfilt.series, "_times_geometric", kernel)
+        cobfilt.series._last = None
+        spaces.steenrod_series.cache_clear()
+
+    yield install
+    cobfilt.series._last = None
     spaces.steenrod_series.cache_clear()
-    yield
-    spaces.steenrod_series.cache_clear()
+
+
+@pytest.fixture
+def wrong_stride_kernel(stride_kernel):
+    # wrong, but the same wrong factor everywhere, A_* included, so the stages
+    # still divide one another
+    stride_kernel(doubled)
 
 
 @pytest.mark.parametrize("cap", [16, 32])
@@ -243,6 +258,33 @@ def test_quotient_steps_detect_a_consistently_wrong_stride_kernel(wrong_stride_k
     # kernel would predict the same wrong quotients
     report = verify_quotient_steps(cap)
     assert report.first_discrepancy == Discrepancy(2, 1, 2)
+
+
+def by_start(from_the_unit, resumed):
+    # A stride kernel that runs from_the_unit on a build that starts from the
+    # unit series, as a cold series_of call does, and resumed on a build that
+    # starts from an earlier result.
+    def kernel(coeffs, degrees):
+        (resumed if any(coeffs[1:]) else from_the_unit)(coeffs, degrees)
+
+    return kernel
+
+
+def test_main_theorem_detects_a_kernel_wrong_on_a_cold_build(stride_kernel):
+    # with no earlier result recorded, the product route's one series_of call is a cold build
+    stride_kernel(by_start(doubled, cobfilt.series._times_geometric))
+    report = verify_main_theorem(8)
+    assert report.first_discrepancy == Discrepancy(2, 1, {"product": 2})
+
+
+def test_quotient_steps_detect_a_kernel_wrong_on_a_resumed_build(stride_kernel):
+    # each stage after the first starts from the stage before, so its one
+    # pass is the wrong one; a cold build still comes out right
+    stride_kernel(by_start(cobfilt.series._times_geometric, doubled))
+    assert verify_main_theorem(16).passed
+    report = verify_quotient_steps(16)
+    # the stage of degree 5 starts from 1/(1 - t^2) and gains 1/(1 - 2t^5)
+    assert report.first_discrepancy == Discrepancy(5, 1, 2)
 
 
 # The stage table up to 16 runs 2, 5, 11, 6, ... in stage order.  The table

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 import cobfilt.series
 import cobfilt.spaces as spaces
-from cobfilt.checks import partition_dp, verify_quotient_steps
+from cobfilt.checks import partition_dp, verify_main_theorem, verify_quotient_steps
 from cobfilt.degrees import BASE, StageTriple, stages_up_to_degree
 from cobfilt.series import U64_MAX, AlgebraSpec, exact_div, mul, series_of
 from cobfilt.spaces import (
@@ -179,9 +181,18 @@ def test_homotopy_series_reads_nothing_of_steenrod(monkeypatch):
     monkeypatch.setattr(cobfilt.series, "_times_geometric", recording)
     for t in [BASE] + [e.triple for e in stages_up_to_degree(cap)]:
         passes = []
+        cobfilt.series._last = None  # a cold build
         degrees = stage_generator_degrees(t, cap)
         assert adams_homotopy_series(t, cap).coeffs == partition_dp(degrees, cap).coeffs, t
         assert passes == degrees, t
+    # Walked in stage order, each stage starts from the one before it and
+    # runs its own generator's pass alone.
+    adams_homotopy_series(BASE, cap)
+    for entry in stages_up_to_degree(cap):
+        passes = []
+        degrees = stage_generator_degrees(entry.triple, cap)
+        assert adams_homotopy_series(entry.triple, cap).coeffs == partition_dp(degrees, cap).coeffs
+        assert passes == [entry.degree], entry
 
 
 def test_thom_series_fits_u64_through_cap_416():
@@ -215,9 +226,75 @@ def test_thom_series_counts_partitions_at_every_stage(monkeypatch):
         xi = [2**k - 1 for k in range(1, 7) if 2**k - 1 <= cap]
         for t in [BASE] + [e.triple for e in stages_up_to_degree(cap)]:
             passes = []
+            cobfilt.series._last = None  # a cold build
             degrees = xi + stage_generator_degrees(t, cap)
             assert thom_homology_series(t, cap).coeffs == partition_dp(degrees, cap).coeffs, (t, cap)
             assert passes == degrees, (t, cap)
+        # In stage order, one pass per stage generator on top of the stage before.
+        thom_homology_series(BASE, cap)
+        for entry in stages_up_to_degree(cap):
+            passes = []
+            degrees = xi + stage_generator_degrees(entry.triple, cap)
+            assert thom_homology_series(entry.triple, cap).coeffs == partition_dp(degrees, cap).coeffs
+            assert passes == [entry.degree], (entry, cap)
+
+
+def outcome(build, *args):
+    # the result, or the message naming the lowest degree that overflows
+    try:
+        return build(*args)
+    except OverflowError as exc:
+        return str(exc)
+
+
+def in_runs(walks, rng):
+    # Runs of 1 to 30 calls from the walks, in turn at random: each walk keeps
+    # its order, and a run after another walk's starts cold.
+    walks = [list(walk) for walk in walks]
+    while walks:
+        walk = rng.choice(walks)
+        run = rng.randint(1, 30)
+        yield from walk[:run]
+        del walk[:run]
+        if not walk:
+            walks.remove(walk)
+
+
+@pytest.mark.parametrize(
+    "caps, step",
+    [(range(65), 1), ((416, 417, 418, 419, 420, 539, 540), 16)],
+    ids=["every stage at 0..64", "every 16th stage at 416..420,539,540"],
+)
+def test_a_resumed_build_equals_a_cold_one(caps, step):
+    # series_of starts from its last result when the new degrees extend it.
+    # Each stage series, walked forward, backward and shuffled, with other
+    # caps, steenrod_series and verify_main_theorem in between, must equal the
+    # cold build that starts from no last result, or name the same overflow.
+    # Every stage at the high caps would take minutes of cold builds; every
+    # 16th, and the last, still crosses each overflow boundary there.  The
+    # last stage comes twice, so a call also repeats the last result's degrees.
+    rng = random.Random(24)
+    walks = []
+    for cap in caps:
+        stages = [BASE] + [e.triple for e in stages_up_to_degree(cap)]
+        stages = stages[::step] + stages[-1:]
+        walks += [[(build, t, cap) for t in stages] for build in (adams_homotopy_series, thom_homology_series)]
+    others = [(build, cap) for cap in caps for build in (steenrod_series, verify_main_theorem)]
+    cold = {}
+    for call in [call for walk in walks for call in walk] + others:
+        cobfilt.series._last = None
+        steenrod_series.cache_clear()
+        cold[call] = outcome(*call)
+    forward = list(in_runs(walks, rng))
+    backward = list(in_runs([walk[::-1] for walk in walks], rng))
+    shuffled = forward + others
+    rng.shuffle(shuffled)
+    for order in (forward, backward):
+        for call in others:
+            order.insert(rng.randrange(len(order) + 1), call)
+    for order in (forward, backward, shuffled):
+        for call in order:
+            assert outcome(*call) == cold[call], call
 
 
 def unbounded_product(coeffs, degrees):
