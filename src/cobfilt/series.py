@@ -9,27 +9,33 @@ series by multiplying one factor 1 / (1 - t^d) per generator of degree d.
 Each such factor is a stride kernel on one list of coefficients, O(cap)
 per generator: multiplying by 1 / (1 - t^d) is a forward running sum
 with stride d.  series_of runs one per generator and checks the result
-once, at the end.  It starts from its last result when the generators
-extend that result's at the same cap, else from the unit series, so a
-walk over the stages in order runs one pass per stage.  Every stage
-series is one series_of call: no stride kernel divides, because the
-Adams spectral sequence of a stage collapses, so its homotopy is the
-series of its own polynomial algebra, with no A_* factor to divide out.
-A height-1 factor 1 + t^e is one descending pass (simple_system_series).
+once, at the end.  It starts from its last build when the generators
+extend that build's at the same cap, else from the unit series, so a
+walk over the stages in order runs one pass per stage, past the first
+stage that overflows too.  Every stage series is one series_of call: no
+stride kernel divides, because the Adams spectral sequence of a stage
+collapses, so its homotopy is the series of its own polynomial algebra,
+with no A_* factor to divide out.
+A height-1 factor 1 + t^e is one slice pass (simple_system_series).
 The general kernels mul and exact_div stay as the independent routes of
 the checks: the product check multiplies its stagewise route with mul,
 and the quotient check divides each stage by the previous one with
 exact_div.  They take arbitrary operands and share no code with the
 stride kernels; each makes one slice pass per nonzero coefficient (of
-the sparser operand for mul, of the quotient for exact_div), so their
-cost follows the nonzero terms, at most O(cap^2).
+the sparser operand for mul, of the quotient for exact_div), and finds
+those coefficients with itertools.compress, so their cost follows the
+nonzero terms, at most O(cap^2).  A pass whose coefficient is 1, as
+every pass of the checks' 0/1 series is, adds or subtracts the operand
+itself, with no multiply.
 
 Coefficients are plain Python integers validated against the unsigned
-64-bit bound at construction, so a count that outgrows the fixed-width
-contract raises OverflowError instead of silently corrupting a table.
-A series is its coefficient tuple, and its cap is the top degree
-len(coeffs) - 1.  Every function that builds a series from nothing takes
-the cap as an explicit argument; there is no global precision.
+64-bit bound at construction, in two C-level passes: their types, then
+their range, by packing them as array("Q").  So a count that outgrows
+the fixed-width contract raises OverflowError instead of silently
+corrupting a table.  A series is its coefficient tuple, and its cap is
+the top degree len(coeffs) - 1.  Every function that builds a series
+from nothing takes the cap as an explicit argument; there is no global
+precision.
 
 >>> series_of(AlgebraSpec((2, 5)), cap=7).coeffs
 (1, 0, 1, 0, 1, 1, 1, 1)
@@ -38,10 +44,14 @@ the cap as an explicit argument; there is no global precision.
 from __future__ import annotations
 
 import operator
-from itertools import repeat
+from array import array
+from itertools import compress, repeat
 from typing import Iterable, NamedTuple
 
 U64_MAX = 2**64 - 1
+# TruncatedSeries checks the bound by packing its coefficients as "Q".
+if array("Q").itemsize != 8:
+    raise ImportError("array('Q') must hold exactly 64 bits to check the bound")
 
 
 class NotDivisibleError(ArithmeticError):
@@ -95,8 +105,10 @@ class TruncatedSeries(_Coeffs):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs its degree-0 coefficient, got none")
-        # One C-level pass each; the per-degree loop runs only to name a fault.
-        if not (set(map(type, coeffs)) <= {int} and min(coeffs) >= 0 and max(coeffs) <= U64_MAX):
+        # One C-level pass each: the types first, so array("Q") sees plain
+        # ints alone and calls no __index__, then the range.  The per-degree
+        # loop runs only to name the lowest fault.
+        if not (set(map(type, coeffs)) <= {int} and _fits_u64(coeffs)):
             for t, c in enumerate(coeffs):
                 if type(c) is not int:
                     raise ValueError(f"coefficient in degree {t} is not an integer: {c!r}")
@@ -122,6 +134,16 @@ class TruncatedSeries(_Coeffs):
         return cls(_unit_list(cap))
 
 
+def _fits_u64(coeffs: tuple[int, ...]) -> bool:
+    # Packing as unsigned 64-bit raises OverflowError for a negative
+    # coefficient and for one above U64_MAX.
+    try:
+        array("Q", coeffs)
+    except OverflowError:
+        return False
+    return True
+
+
 def _unit_list(cap: int) -> list[int]:
     # The unit series' coefficients, and the cap guard of every builder here.
     if cap < 0:
@@ -134,17 +156,20 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
     The operand with more zero coefficients is the outer one, and each of
     its nonzero coefficients adds a multiple of the other operand in one
-    slice pass, so the work follows the nonzero terms, not cap^2.
+    slice pass, so the work follows the nonzero terms, not cap^2.  A
+    coefficient of 1 adds the operand itself, with no multiply.
     """
     if a.cap != b.cap:
         raise ValueError(f"cap mismatch: {a.cap} != {b.cap}")
     cap = a.cap
     outer, inner = (b, a) if a.coeffs.count(0) < b.coeffs.count(0) else (a, b)
     out = [0] * (cap + 1)
-    for u, c in enumerate(outer.coeffs):
-        if c:
-            terms = map(operator.mul, repeat(c), inner.coeffs[: cap + 1 - u])
-            out[u:] = map(operator.add, out[u:], terms)
+    for u, c in compress(enumerate(outer.coeffs), outer.coeffs):
+        # map stops at out[u:], the shorter input: the product truncates there.
+        if c == 1:
+            out[u:] = map(operator.add, out[u:], inner.coeffs)
+        else:
+            out[u:] = map(operator.add, out[u:], map(operator.mul, repeat(c), inner.coeffs))
     return TruncatedSeries(tuple(out))
 
 
@@ -154,7 +179,8 @@ def exact_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     Requires b[0] = 1.  The working list starts as a; once the degrees
     below t are settled, its degree-t entry is the quotient coefficient,
     and a nonzero one subtracts its multiple of b from the degrees above
-    in one slice pass.  Raises NotDivisibleError at the lowest quotient
+    in one slice pass; a coefficient of 1 subtracts b itself, with no
+    multiply.  Raises NotDivisibleError at the lowest quotient
     coefficient that would have to be negative, which is how a failed
     tensor decomposition announces itself.
     """
@@ -162,42 +188,49 @@ def exact_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         raise ValueError(f"cap mismatch: {a.cap} != {b.cap}")
     if b.coeffs[0] != 1:
         raise ValueError("divisor must have constant coefficient 1")
-    cap = a.cap
     q = list(a.coeffs)
     tail = b.coeffs[1:]
-    for t in range(cap + 1):
-        c = q[t]
+    # compress skips the zero entries.  Its iterators read q entry by
+    # entry, so each entry is read after the passes of the degrees below
+    # it: a pass rewrites q[t + 1:] in place and keeps the length of q.
+    for t, c in compress(enumerate(q), q):
         if c < 0:
             raise NotDivisibleError(f"quotient coefficient in degree {t} would be {c}")
-        if c:
-            terms = map(operator.mul, repeat(c), tail[: cap - t])
-            q[t + 1 :] = map(operator.sub, q[t + 1 :], terms)
+        # map stops at q[t + 1:], the shorter input: the degrees above t.
+        if c == 1:
+            q[t + 1 :] = map(operator.sub, q[t + 1 :], tail)
+        else:
+            q[t + 1 :] = map(operator.sub, q[t + 1 :], map(operator.mul, repeat(c), tail))
     return TruncatedSeries(tuple(q))
 
 
-# The degrees and series of series_of's last result, replaced whole and
-# never mutated: a call reads one whole record, however calls interleave.
-_last: tuple[tuple[int, ...], TruncatedSeries] | None = None
+# The degrees and coefficients of series_of's last build, recorded before
+# the 64-bit check, so a build that overflows is resumed from too; replaced
+# whole and never mutated: a call reads one whole record, however calls
+# interleave.
+_last: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
 def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
     """Poincare series of a polynomial algebra, truncated at cap.
 
     Generators above the cap contribute the factor 1 and are skipped.
-    A call at the cap of the last result, whose degrees begin with that
-    result's, starts from it and runs the remaining factors only.
+    A call at the cap of the last build, whose degrees begin with that
+    build's, starts from it and runs the remaining factors only.  The
+    last build counts even if it overflowed: its coefficients are exact,
+    so the result equals a cold build's and names the same overflow.
     """
     global _last
     degrees = spec.generators_below(cap)
     last = _last
-    if last is not None and last[1].cap == cap and degrees[: len(last[0])] == last[0]:
-        done, coeffs = len(last[0]), list(last[1].coeffs)
+    if last is not None and len(last[1]) == cap + 1 and degrees[: len(last[0])] == last[0]:
+        done, coeffs = len(last[0]), list(last[1])
     else:
         done, coeffs = 0, _unit_list(cap)
     _times_geometric(coeffs, degrees[done:])
-    result = TruncatedSeries(tuple(coeffs))
-    _last = (degrees, result)
-    return result
+    built = tuple(coeffs)
+    _last = (degrees, built)
+    return TruncatedSeries(built)
 
 
 def simple_system_series(d: int, cap: int) -> TruncatedSeries:
@@ -206,16 +239,16 @@ def simple_system_series(d: int, cap: int) -> TruncatedSeries:
     Binary expansion makes this equal to the polynomial series on one
     degree-d generator, but it is computed here as a genuine product of
     (1 + t^(d 2^a)) factors so the identity stays an honest cross-check.
-    Each factor is one pass from the top degree down, so every step reads
-    a coefficient the factor has not touched yet.
+    Each factor 1 + t^e is one slice pass, coeffs[e:] plus coeffs[:-e],
+    whose right-hand side is copied before the assignment, so every sum
+    reads coefficients the factor has not touched yet.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     coeffs = _unit_list(cap)
     e = d
     while e <= cap:
-        for t in range(cap, e - 1, -1):
-            coeffs[t] += coeffs[t - e]
+        coeffs[e:] = map(operator.add, coeffs[e:], coeffs[:-e])
         e *= 2
     return TruncatedSeries(tuple(coeffs))
 

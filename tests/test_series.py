@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import cobfilt.series
 from cobfilt.degrees import is_excluded
 from cobfilt.series import (
     U64_MAX,
@@ -122,6 +123,32 @@ def test_ring_series_fits_u64_through_cap_539():
         series_of(AlgebraSpec(gens), 540)
 
 
+def test_a_build_after_an_overflowing_one_resumes_from_it(monkeypatch):
+    # series_of records its build before the 64-bit check, so the call after
+    # one that overflowed runs only its own new degrees, and names the same
+    # lowest overflow as a cold call.
+    gens = [d for d in range(2, 601) if not is_excluded(d)]
+    done = len([d for d in gens if d <= 100])
+    cobfilt.series._last = None
+    with pytest.raises(OverflowError) as cold:
+        series_of(AlgebraSpec(gens), 600)
+
+    def recording(coeffs, degrees):
+        passes.extend(degrees)
+        original(coeffs, degrees)
+
+    original = cobfilt.series._times_geometric
+    monkeypatch.setattr(cobfilt.series, "_times_geometric", recording)
+    passes = []
+    with pytest.raises(OverflowError, match="^coefficient in degree 542 exceeds the 64-bit bound$"):
+        series_of(AlgebraSpec(gens[:done]), 600)
+    passes = []
+    with pytest.raises(OverflowError) as resumed:
+        series_of(AlgebraSpec(gens), 600)
+    assert str(resumed.value) == str(cold.value) == "coefficient in degree 540 exceeds the 64-bit bound"
+    assert passes == gens[done:]
+
+
 # ---------------------------------------------------------------------------
 # mul
 
@@ -200,6 +227,19 @@ def test_mul_agrees_with_brute_convolution_at_every_sparsity(left, right, cap, d
     assert mul(a, b).coeffs == brute_convolution(a, b)
 
 
+# A sparse operand whose nonzero coefficients are 1 in some degrees and
+# above 1 in others, one of them in the top degree, and a dense one.
+SPARSE_MIXED = TruncatedSeries((1, 0, 3, 0, 1, 0, 0, 2))
+DENSE = TruncatedSeries((1, 2, 1, 1, 3, 1, 2, 1))
+# degree 6: 1*2 + 3*3 + 1*1; degree 7: 1*1 + 3*1 + 1*1 + 2*1
+PRODUCT = (1, 2, 4, 7, 7, 6, 12, 7)
+
+
+def test_mul_with_unit_and_larger_coefficients_up_to_the_top_degree():
+    assert mul(SPARSE_MIXED, DENSE).coeffs == mul(DENSE, SPARSE_MIXED).coeffs == PRODUCT
+    assert brute_convolution(SPARSE_MIXED, DENSE) == PRODUCT
+
+
 # ---------------------------------------------------------------------------
 # exact_div
 
@@ -208,6 +248,11 @@ def test_exact_div_inverts_the_mul_example():
     a = TruncatedSeries((1, 1, 2, 3, 4))
     b = TruncatedSeries((1, 1, 1, 2, 2))
     assert exact_div(a, b).coeffs == (1, 0, 1, 0, 1)
+
+
+def test_exact_div_with_unit_and_larger_quotient_coefficients_up_to_the_top_degree():
+    assert exact_div(TruncatedSeries(PRODUCT), DENSE) == SPARSE_MIXED
+    assert long_division(TruncatedSeries(PRODUCT), DENSE) == SPARSE_MIXED.coeffs
 
 
 def test_exact_div_by_self_is_unit():
@@ -355,6 +400,15 @@ def test_mul_overflow_is_detected_not_wrapped():
         mul(a, b)
 
 
+@pytest.mark.parametrize("cap", [0, 1, 7, 64])
+def test_u64_max_is_accepted_in_every_degree(cap):
+    for t in range(cap + 1):
+        coeffs = [0] * (cap + 1)
+        coeffs[t] = U64_MAX
+        assert TruncatedSeries(coeffs).coeffs == tuple(coeffs)
+    assert TruncatedSeries([U64_MAX] * (cap + 1)).coeffs == (U64_MAX,) * (cap + 1)
+
+
 def test_non_integer_coefficient_rejected():
     with pytest.raises(ValueError, match="not an integer"):
         TruncatedSeries((True, False))
@@ -362,10 +416,38 @@ def test_non_integer_coefficient_rejected():
         TruncatedSeries((1, 1.0))
 
 
+class Count(int):
+    # an int subclass: array("Q") packs it, the container must refuse it
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+
+class Index:
+    # not an int, but array("Q") packs it through __index__
+    def __index__(self):
+        return 3
+
+    def __repr__(self):
+        return "Index()"
+
+
+def test_the_range_check_calls_no_index():
+    # the type check comes first, so no coefficient's __index__ runs
+    class Loud(Index):
+        def __index__(self):
+            raise AssertionError("__index__ was called")
+
+    with pytest.raises(ValueError) as raised:
+        TruncatedSeries((1, Loud()))
+    assert str(raised.value) == "coefficient in degree 1 is not an integer: Index()"
+
+
 # Each fault, and the error the container must raise for it in degree t.
 FAULTS = {
     "bool": (True, ValueError, "coefficient in degree {t} is not an integer: True"),
     "float": (2.0, ValueError, "coefficient in degree {t} is not an integer: 2.0"),
+    "int subclass": (Count(4), ValueError, "coefficient in degree {t} is not an integer: Count(4)"),
+    "__index__": (Index(), ValueError, "coefficient in degree {t} is not an integer: Index()"),
     "negative": (-3, ValueError, "negative coefficient -3 in degree {t}"),
     "too large": (U64_MAX + 1, OverflowError, "coefficient in degree {t} exceeds the 64-bit bound"),
 }
