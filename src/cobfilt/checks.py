@@ -4,30 +4,26 @@ Every oracle here recomputes its target by a route the checked code
 never takes: exhaustive nested-loop enumeration of stage triples
 instead of valuation arithmetic, the Euler transform of the partition
 recurrence (partition_dp) and a stage-by-stage chain of general
-convolutions (mul) against the stride kernel of series_of, and general
-synthetic division (exact_div) of each stage by the stage before it,
-whose series series_of extends by one stride pass to build the stage.
-Every single factor 1/(1 - t^d) is built in closed form, 1 in each
-degree divisible by d (_geometric), so series_of serves the product
-route alone.  A pass means independent computations agree coefficient
-by coefficient.  A report carries only its finding; the CLI names it.
+convolutions (mul) against the stride kernel of series_of, and a
+backward difference that multiplies each stage by 1 - t^d back to the
+stage before it, which series_of extends by one forward running sum to
+build the stage.  Every single factor 1/(1 - t^d) of the product and
+simple-system checks is built in closed form, 1 in each degree
+divisible by d (_geometric), so series_of serves the product route
+alone.  No check divides: exact_div stays in the series module as a
+reference for the tests.  A pass means independent computations agree
+coefficient by coefficient.  A report carries only its finding; the CLI
+names it.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import compress, count
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .degrees import BASE, decompose, is_excluded, stages_up_to_degree
-from .series import (
-    AlgebraSpec,
-    NotDivisibleError,
-    TruncatedSeries,
-    exact_div,
-    mul,
-    series_of,
-    simple_system_series,
-)
+from .series import AlgebraSpec, TruncatedSeries, mul, series_of, simple_system_series
 from .spaces import adams_homotopy_series
 
 
@@ -137,13 +133,10 @@ def _geometric(d: int, cap: int) -> TruncatedSeries:
     return TruncatedSeries((([1] + [0] * (d - 1)) * (cap // d + 1))[: cap + 1])
 
 
-def _first_mismatch(expected: TruncatedSeries, actual: TruncatedSeries) -> int | None:
-    if expected.coeffs == actual.coeffs:
-        return None
-    for t in range(expected.cap + 1):
-        if expected.coeffs[t] != actual.coeffs[t]:
-            return t
-    return None
+def _first_mismatch(expected: tuple[int, ...], actual: tuple[int, ...]) -> int | None:
+    # The lowest degree whose coefficients differ, in one C-level pass; map
+    # stops at the shorter tuple, and every caller passes two of cap + 1.
+    return next(compress(count(), map(operator.ne, expected, actual)), None)
 
 
 def verify_main_theorem(cap: int) -> CheckReport:
@@ -163,7 +156,7 @@ def verify_main_theorem(cap: int) -> CheckReport:
     for entry in stages_up_to_degree(cap):
         stagewise = mul(stagewise, _geometric(entry.degree, cap))
     for name, candidate in (("product", via_product), ("stagewise", stagewise)):
-        t = _first_mismatch(via_dp, candidate)
+        t = _first_mismatch(via_dp.coeffs, candidate.coeffs)
         if t is not None:
             witness = Discrepancy(t, via_dp.coeffs[t], {name: candidate.coeffs[t]})
             return CheckReport(witness, via_product.coeffs)
@@ -174,24 +167,24 @@ def verify_quotient_steps(cap: int) -> CheckReport:
     """Each stage's homotopy series must be the previous stage's times
     exactly 1/(1 - t^d) for the incoming generator degree d.
 
-    Walked in stage order, series_of builds stage k by extending stage
-    k - 1's series with one stride pass, so each quotient is one pass.
-    The check divides with the general exact_div, never the stride
-    kernel, and predicts with the closed form _geometric, so a wrong
-    stride kernel cannot predict its own wrong quotient.
+    1 - t^d is a unit of the truncated ring, so that holds exactly when
+    the stage's series times 1 - t^d is the previous stage's: one
+    C-level backward difference with stride d, which shares nothing with
+    the forward running sum of the stride kernel.  Walked in stage order,
+    series_of builds stage k by extending stage k - 1 with one stride
+    pass, and if every stage passes, each equals the true product by
+    induction from the base stage's unit series.  The witness is the
+    first differing degree, the previous stage's coefficient and the
+    product's.
     """
-    previous = adams_homotopy_series(BASE, cap)
+    previous = adams_homotopy_series(BASE, cap).coeffs
     for entry in stages_up_to_degree(cap):
-        current = adams_homotopy_series(entry.triple, cap)
-        predicted = _geometric(entry.degree, cap)
-        try:
-            quotient = exact_div(current, previous)
-        except NotDivisibleError as exc:
-            return CheckReport(Discrepancy(entry.degree, list(predicted.coeffs), str(exc)))
-        t = _first_mismatch(predicted, quotient)
+        d, c = entry.degree, adams_homotopy_series(entry.triple, cap).coeffs
+        back = c[:d] + tuple(map(operator.sub, c[d:], c))
+        t = _first_mismatch(previous, back)
         if t is not None:
-            return CheckReport(Discrepancy(t, predicted.coeffs[t], quotient.coeffs[t]))
-        previous = current
+            return CheckReport(Discrepancy(t, previous[t], back[t]))
+        previous = c
     return CheckReport()
 
 

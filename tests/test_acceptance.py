@@ -86,13 +86,13 @@ def test_criterion_3_stage_quotients():
         cap = 64
         previous = adams_homotopy_series(BASE, cap)
         entries = stages_up_to_degree(cap)
-        first = exact_div(adams_homotopy_series(entries[0].triple, cap), previous)
-        assert first.coeffs == series_of(AlgebraSpec((2,)), cap).coeffs
+        assert entries[0].degree == 2
         for entry in entries:
             current = adams_homotopy_series(entry.triple, cap)
             quotient = exact_div(current, previous)
-            predicted = series_of(AlgebraSpec((entry.degree,)), cap)
-            assert quotient.coeffs == predicted.coeffs, entry
+            # 1/(1 - t^d) in closed form, not by the stride kernel under test
+            predicted = tuple(int(k % entry.degree == 0) for k in range(cap + 1))
+            assert quotient.coeffs == predicted, entry
             previous = current
         assert verify_quotient_steps(cap).passed
 

@@ -205,8 +205,8 @@ def test_quotient_steps_detect_a_dropped_stage_generator(monkeypatch):
 
 
 def test_quotient_steps_report_a_stage_the_previous_one_does_not_divide(monkeypatch):
-    # the second stage, of degree 5, comes back as the unit series: dividing it
-    # by the first stage's 1/(1 - t^2) would leave 1 - t^2
+    # the second stage, of degree 5, comes back as the unit series: times
+    # 1 - t^5 it is 1 - t^5, not the first stage's 1/(1 - t^2)
     second = stages_up_to_degree(16)[1].triple
     original = checks.adams_homotopy_series
 
@@ -216,11 +216,7 @@ def test_quotient_steps_report_a_stage_the_previous_one_does_not_divide(monkeypa
     monkeypatch.setattr(checks, "adams_homotopy_series", unit_at_second)
     report = verify_quotient_steps(16)
     assert not report.passed
-    assert report.first_discrepancy == Discrepancy(
-        5,
-        [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0],
-        "quotient coefficient in degree 2 would be -1",
-    )
+    assert report.first_discrepancy == Discrepancy(2, 1, 0)
 
 
 def doubled(coeffs, degrees):
@@ -254,10 +250,42 @@ def wrong_stride_kernel(stride_kernel):
 
 @pytest.mark.parametrize("cap", [16, 32])
 def test_quotient_steps_detect_a_consistently_wrong_stride_kernel(wrong_stride_kernel, cap):
-    # the stage (1,1,0) now reads 1, 1, 4, 7, ...; an oracle built by the same
-    # kernel would predict the same wrong quotients
+    # the stage of degree 2 now reads 1, 0, 2, 0, 4, ...; times 1 - t^2 it is
+    # 1, 0, 1, 0, 2, ..., not the unit; an oracle built by the same kernel
+    # would predict the same wrong quotients
     report = verify_quotient_steps(cap)
-    assert report.first_discrepancy == Discrepancy(2, 1, 2)
+    assert report.first_discrepancy == Discrepancy(2, 0, 1)
+
+
+def short_of_the_top(coeffs, degrees):
+    # 1/(1 - t^d) in every degree but the top one, which the sum never reaches
+    for d in degrees:
+        for t in range(d, len(coeffs) - 1):
+            coeffs[t] += coeffs[t - d]
+
+
+@pytest.mark.parametrize("cap, witness", [(16, Discrepancy(16, 0, -1)), (2, Discrepancy(2, 0, -1))])
+def test_quotient_steps_detect_a_kernel_wrong_in_the_top_degree_alone(stride_kernel, cap, witness):
+    # the stage of degree 2 misses t^cap, so times 1 - t^2 its top coefficient
+    # is -1 where the unit has 0; the backward difference must reach the top
+    stride_kernel(short_of_the_top)
+    assert verify_quotient_steps(cap).first_discrepancy == witness
+
+
+@pytest.mark.parametrize("cap", [16, 64])
+def test_quotient_steps_build_one_series_per_stage(monkeypatch, cap):
+    # the stage series are the only series the check builds: it compares
+    # coefficient tuples and builds no quotient or prediction of its own
+    built = []
+    original = TruncatedSeries.__new__
+
+    def counted(cls, coeffs):
+        built.append(coeffs)
+        return original(cls, coeffs)
+
+    monkeypatch.setattr(TruncatedSeries, "__new__", counted)
+    assert verify_quotient_steps(cap).passed
+    assert len(built) == len(stages_up_to_degree(cap)) + 1
 
 
 def by_start(from_the_unit, resumed):
@@ -283,16 +311,17 @@ def test_quotient_steps_detect_a_kernel_wrong_on_a_resumed_build(stride_kernel):
     stride_kernel(by_start(cobfilt.series._times_geometric, doubled))
     assert verify_main_theorem(16).passed
     report = verify_quotient_steps(16)
-    # the stage of degree 5 starts from 1/(1 - t^2) and gains 1/(1 - 2t^5)
-    assert report.first_discrepancy == Discrepancy(5, 1, 2)
+    # the stage of degree 5 starts from 1/(1 - t^2) and gains 1/(1 - 2t^5):
+    # times 1 - t^5 it keeps 1 + t^5 + ..., where 1/(1 - t^2) has nothing in degree 5
+    assert report.first_discrepancy == Discrepancy(5, 0, 1)
 
 
 # The stage table up to 16 runs 2, 5, 11, 6, ... in stage order.  The table
 # checks neither its order nor its distinct degrees when built; a table that
 # broke either would make the quotient check walk the stages wrongly.
 TABLE_DEFECTS = {
-    # 6 then arrives together with 13, so the quotient gains 1/(1 - t^6)
-    "dropped": (lambda table: table[:3] + table[4:], Discrepancy(6, 0, 1)),
+    # 6 then arrives together with 13, so the stage times 1 - t^13 keeps 1/(1 - t^6)
+    "dropped": (lambda table: table[:3] + table[4:], Discrepancy(6, 1, 2)),
     # the second copy of stage 5 adds nothing, so its quotient is 1
     "repeated": (lambda table: table[:2] + table[1:], Discrepancy(5, 1, 0)),
     # stage 11 arrives before 5, bringing 5 with it

@@ -43,7 +43,8 @@ def test_stage_walkthrough_rejects_a_negative_bound():
 
 
 def test_stage_walkthrough_exits_one_on_a_mismatch(monkeypatch, capsys):
-    # the stage of degree 6 loses its generator, so its quotient is 1, not 1/(1 - t^6)
+    # the stage of degree 6 loses its generator, so its quotient is 1, not 1/(1 - t^6):
+    # times 1 - t^6 it loses the previous stage's t^6
     original = spaces.stage_generator_degrees
     monkeypatch.setattr(
         spaces, "stage_generator_degrees", lambda t, bound: [d for d in original(t, bound) if d != 6]
@@ -53,15 +54,15 @@ def test_stage_walkthrough_exits_one_on_a_mismatch(monkeypatch, capsys):
         runpy.run_path(str(ROOT / "scripts" / "stage_walkthrough.py"), run_name="__main__")
     assert exited.value.code == 1
     out = capsys.readouterr().out
-    assert "  quotient  1/(1 - t^6)  [MISMATCH]\n" in out
-    assert out.count("[MISMATCH]") == 1
+    assert "  quotient  1/(1 - t^6)  [MISMATCH: times 1 - t^6 gives 0 in degree 6, the previous stage 1]\n" in out
+    assert out.count("[MISMATCH") == 1
     assert out.count("[ok]") == len(stages_up_to_degree(16)) - 1
 
 
 def test_stage_walkthrough_goes_on_past_a_stage_the_one_before_does_not_divide(monkeypatch, capsys):
-    # The stage of degree 5 reports the unit series.  Dividing it by the stage
-    # before, 1/(1 - t^2), would need a negative coefficient; and the next
-    # stage, of degree 11, is then not 1/(1 - t^11) times it either.
+    # The stage of degree 5 reports the unit series.  Times 1 - t^5 it is not
+    # the stage before, 1/(1 - t^2); and the next stage, of degree 11, times
+    # 1 - t^11 is not the unit series either.
     original, five = spaces.adams_homotopy_series, decompose(5)
     monkeypatch.setattr(
         spaces,
@@ -75,7 +76,7 @@ def test_stage_walkthrough_goes_on_past_a_stage_the_one_before_does_not_divide(m
     out = capsys.readouterr().out
     stages = [line for line in out.splitlines() if line.startswith("stage (")]
     assert stages == [f"stage ({n},{j},{i}): new generator x_{d}" for d, (n, j, i) in stages_up_to_degree(16)]
-    assert "  quotient  1/(1 - t^5)  [MISMATCH: quotient coefficient in degree 2 would be -1]\n" in out
-    assert "  quotient  1/(1 - t^11)  [MISMATCH]\n" in out
+    assert "  quotient  1/(1 - t^5)  [MISMATCH: times 1 - t^5 gives 0 in degree 2, the previous stage 1]\n" in out
+    assert "  quotient  1/(1 - t^11)  [MISMATCH: times 1 - t^11 gives 1 in degree 2, the previous stage 0]\n" in out
     assert out.count("[MISMATCH") == 2
     assert out.count("[ok]") == len(stages) - 2
