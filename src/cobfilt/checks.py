@@ -136,6 +136,9 @@ def _geometric(d: int, cap: int) -> TruncatedSeries:
 def _first_mismatch(expected: tuple[int, ...], actual: tuple[int, ...]) -> int | None:
     # The lowest degree whose coefficients differ, in one C-level pass; map
     # stops at the shorter tuple, and every caller passes two of cap + 1.
+    # Equal tuples, the passing case, skip it for one C-level compare.
+    if expected == actual:
+        return None
     return next(compress(count(), map(operator.ne, expected, actual)), None)
 
 

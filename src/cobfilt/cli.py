@@ -48,7 +48,7 @@ from .checks import (
     verify_simple_systems,
 )
 from .degrees import ExcludedDegreeError, StageTriple, compose, decompose, iter_runs
-from .manifolds import cup_wrapping, expand, indecomposable, stage_recipe
+from .manifolds import _PROJECTIVE, _base_dim, cup_wrapping, expand, indecomposable, stage_recipe
 from .spaces import adams_homotopy_series, steenrod_series, thom_homology_series
 
 EXIT_OK = 0
@@ -206,7 +206,7 @@ def _cmd_recipe(ns: argparse.Namespace) -> _Outcome:
     }
     lines = [
         _degree_line(ns.degree, t),
-        f"base RP^{recipe.base_dim}, cup-2 steps {recipe.cup2_count}, "
+        f"base {_PROJECTIVE}{recipe.base_dim}, cup-2 steps {recipe.cup2_count}, "
         f"cup-1 steps {recipe.cup1_count}",
         "dimensions " + " -> ".join(map(str, (recipe.base_dim, *dims))),
     ]
@@ -229,11 +229,11 @@ def _table_rows(max_degree: int, as_json: bool) -> Iterator[str]:
     """The table up to max_degree, rendered as it is made: the items of
     result["rows"] under --json, else the text's header, rows and footer.
 
-    One walk of the stage runs.  A run's first term is expanded from its
-    recipe for the first run of each n, and is the cup-2 of the previous
-    run's first term otherwise; each further term is the cup-1 of the term
-    before it.  Each row is formatted right there, from its run's n and j
-    and its own degree, i and term.
+    One walk of the stage runs.  A run's first term is the bare base
+    RP^b of its n for the first run of each n, which has no cup step, and
+    is the cup-2 of the previous run's first term otherwise; each further
+    term is the cup-1 of the term before it.  Each row is formatted right
+    there, from its run's n and j and its own degree, i and term.
     """
     (cup1, close), (cup2, _) = cup_wrapping(1), cup_wrapping(2)
     if not as_json:
@@ -242,7 +242,7 @@ def _table_rows(max_degree: int, as_json: bool) -> Iterator[str]:
     head, last_n = "", 0
     for n, j, degrees in iter_runs(max_degree):
         if n != last_n:
-            head, last_n = expand(stage_recipe(StageTriple(n, j, 0))), n
+            head, last_n = f"{_PROJECTIVE}{_base_dim(n)}", n
         else:
             head = f"{cup2}{head}{close}"
         # What rows of this run share: their stage's j and n in JSON, "(n,j," in text.
@@ -264,7 +264,8 @@ def _table_rows(max_degree: int, as_json: bool) -> Iterator[str]:
                     "      }"
                 )
             else:
-                yield f"{degree:<8}{f'{run}{i})':<12}{term}"
+                # ljust pads as the format spec :<8 would, at about half the cost.
+                yield f"{degree}".ljust(8) + f"{run}{i})".ljust(12) + term
             # The next row's term; the last row's is made and dropped, which is
             # cheaper than asking each row whether it is the first.
             term, i = f"{cup1}{term}{close}", i + 1

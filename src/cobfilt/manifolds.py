@@ -26,10 +26,11 @@ Cup-1 takes stage (n, j, i) to (n, j, i + 1) and cup-2 takes (n, j, 0)
 to (n, j + 1, 0), so each term of a run of stages (n, j, 0), (n, j, 1),
 ... is the cup-1 of the term before it, and the first term of each run
 is the cup-2 of the first term of the run before it, except for the
-first run of each n, which is expanded from its recipe.  cup_wrapping
-gives the text one step puts around a term, so a caller that walks the
-runs, as the table command does, renders each term from the one before
-it.
+first run of each n, which has no cup step: its first term is the bare
+base RP^b of that n.  cup_wrapping gives the text one step puts around
+a term, so a caller that walks the runs, as the table command does,
+renders each first run's first term from its base dimension and each
+other term from the one before it.
 """
 
 from __future__ import annotations
@@ -117,12 +118,19 @@ def stage_recipe(t: StageTriple) -> CupRecipe:
     Base RP^2 with j - 1 cup-2 steps for n = 1, base RP^(4(n-1)) with
     j cup-2 steps for n >= 2, then i cup-1 steps.
     """
-    if t.n == 1:
-        return CupRecipe(2, (2,) * (t.j - 1) + (1,) * t.i)
-    return CupRecipe(4 * (t.n - 1), (2,) * t.j + (1,) * t.i)
+    # The first run of n is j = 1 for n = 1 and j = 0 otherwise, and has no cup-2 step.
+    cup2 = t.j - 1 if t.n == 1 else t.j
+    return CupRecipe(_base_dim(t.n), (2,) * cup2 + (1,) * t.i)
 
 
-# Cup-m of a term T renders as P(m,T): the text before T for each m, and after it.
+def _base_dim(n: int) -> int:
+    # The base of every stage with this n: RP^2 for n = 1, RP^(4(n-1)) for n >= 2.
+    return 2 if n == 1 else 4 * (n - 1)
+
+
+# A base RP^b renders as _PROJECTIVE followed by b, and cup-m of a term T as
+# P(m,T): the text before T for each m, and after it.
+_PROJECTIVE = "RP^"
 _CUP_OPEN = {1: "P(1,", 2: "P(2,"}
 _CUP_CLOSE = ")"
 
@@ -134,7 +142,7 @@ def expand(r: CupRecipe) -> str:
     last step is the outermost wrapper.
     """
     opens = [_CUP_OPEN[m] for m in reversed(r.steps)]
-    return "".join([*opens, f"RP^{r.base_dim}", _CUP_CLOSE * len(opens)])
+    return "".join([*opens, f"{_PROJECTIVE}{r.base_dim}", _CUP_CLOSE * len(opens)])
 
 
 def cup_wrapping(m: int) -> tuple[str, str]:

@@ -73,9 +73,11 @@ class AlgebraSpec(_Spec):
 
     def __new__(cls, degrees: Iterable[int] = ()) -> AlgebraSpec:
         degrees = tuple(degrees)
-        for d in degrees:
-            if d < 1:
-                raise ValueError(f"generator degree must be >= 1, got {d}")
+        # One C-level pass; the loop runs only to name the fault.
+        if min(degrees, default=1) < 1:
+            for d in degrees:
+                if d < 1:
+                    raise ValueError(f"generator degree must be >= 1, got {d}")
         return tuple.__new__(cls, (degrees,))
 
     @classmethod
@@ -85,6 +87,8 @@ class AlgebraSpec(_Spec):
 
     def generators_below(self, bound: int) -> tuple[int, ...]:
         """The degrees of all generators of degree <= bound."""
+        if max(self.degrees, default=0) <= bound:
+            return self.degrees
         return tuple(d for d in self.degrees if d <= bound)
 
 

@@ -6,7 +6,8 @@ The dual Steenrod algebra A_* is polynomial on classes xi_k in degrees
 2^k - 1, so its degree-t dimension counts the partitions of t into
 parts 2^k - 1.  Its series is cached for the last 16 caps, and its
 coefficients first exceed 64 bits in degree 29,781.  A stage's generators
-are a prefix of the stage table, which degrees caches per bound.
+are a prefix of the stage table, which degrees caches per bound, and their
+degrees a slice of that table's degrees, cached here per bound too.
 
 A filtration stage (n, j, i) contributes the Thom-complex homology
 A_* (x) Z/2[one generator per stage up to this one] (Thom 1954).  The
@@ -45,6 +46,12 @@ def steenrod_series(cap: int) -> TruncatedSeries:
     return series_of(AlgebraSpec(_xi_degrees(cap)), cap)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _stage_degrees(bound: int) -> tuple[int, ...]:
+    # The degrees of stages_up_to_degree(bound), in its order, cached per bound as it is.
+    return tuple(entry.degree for entry in stages_up_to_degree(bound))
+
+
 def stage_generator_degrees(t: StageTriple, bound: int) -> list[int]:
     """Degrees of all generators present at stage t, capped at bound.
 
@@ -54,7 +61,7 @@ def stage_generator_degrees(t: StageTriple, bound: int) -> list[int]:
     table = stages_up_to_degree(bound)  # cached per bound
     # The table is in stage order, so the stages up to t are a prefix of it.
     present = bisect_right(table, t, key=attrgetter("triple"))
-    return [entry.degree for entry in table[:present]]
+    return list(_stage_degrees(bound)[:present])
 
 
 def thom_homology_series(t: StageTriple, cap: int) -> TruncatedSeries:

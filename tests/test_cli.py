@@ -727,6 +727,12 @@ def test_golden_table_16(run_cli):
     assert out == (GOLDEN / "table_16.txt").read_text()
 
 
+def test_golden_table_16_json(run_cli):
+    code, out, _ = run_cli("table", "16", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "table_16.json").read_text()
+
+
 def test_golden_recipe_13_expand(run_cli):
     code, out, _ = run_cli("recipe", "13", "--expand")
     assert code == 0

@@ -121,3 +121,14 @@ def test_a_wrong_decompose_triple_is_named(monkeypatch):
     assert disagreements(SWEEPS["decompose"]) == [
         ("decompose 11 --json", "stage (2,0,0) does not recompose to 11")
     ]
+
+
+def test_a_wrong_table_base_is_named(monkeypatch):
+    # the table renders the first term of each n from its base dimension alone
+    original = cli._base_dim
+    monkeypatch.setattr(cli, "_base_dim", lambda n: 4 * n if n >= 2 else original(n))
+    assert disagreements([["table", "16"]]) == [
+        ("table 16", "row '4       (2,0,0)     RP^8': term does not reach the degree")
+    ]
+    # every table from the first with an n = 2 row on
+    assert [argv for argv, _ in disagreements(SWEEPS["table"])] == [f"table {b}" for b in range(4, 301)]

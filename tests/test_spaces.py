@@ -89,7 +89,7 @@ def test_stage_table_is_built_once_per_bound():
 
 
 def test_the_caches_stay_bounded_over_many_caps():
-    caches = (spaces.steenrod_series, stages_up_to_degree)
+    caches = (spaces.steenrod_series, stages_up_to_degree, spaces._stage_degrees)
     for cache in caches:
         cache.cache_clear()
     for cap in range(4 * spaces._CACHE_SIZE):
