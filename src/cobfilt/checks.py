@@ -3,17 +3,18 @@
 Every oracle here recomputes its target by a route the checked code
 never takes: exhaustive nested-loop enumeration of stage triples
 instead of valuation arithmetic, the Euler transform of the partition
-recurrence (partition_dp) and a stage-by-stage chain of general
-convolutions (mul) against the stride kernel of series_of, and a
-backward difference that multiplies each stage by 1 - t^d back to the
-stage before it, which series_of extends by one forward running sum to
-build the stage.  Every single factor 1/(1 - t^d) of the product and
-simple-system checks is built in closed form, 1 in each degree
-divisible by d (_geometric), so series_of serves the product route
-alone.  No check divides: exact_div stays in the series module as a
-reference for the tests.  A pass means independent computations agree
-coefficient by coefficient.  A report carries only its finding; the CLI
-names it.
+recurrence (partition_dp) and a stage-by-stage product of closed forms
+on one coefficient list (_times_closed_form) against the stride kernel
+of series_of, and a backward difference that multiplies each stage by
+1 - t^d back to the stage before it, which series_of extends by one
+forward running sum to build the stage.  Every single factor
+1/(1 - t^d) is a closed form, 1 in each degree divisible by d: the
+stagewise route adds the previous product once per multiple of d, and
+the simple-system check compares a plain 0/1 tuple (_geometric), so
+series_of serves the product route alone.  No check calls the general
+kernels: mul and exact_div stay in the series module as references for
+the tests.  A pass means independent computations agree coefficient by
+coefficient.  A report carries only its finding; the CLI names it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import compress, count
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .degrees import BASE, decompose, is_excluded, stages_up_to_degree
-from .series import AlgebraSpec, TruncatedSeries, mul, series_of, simple_system_series
+from .series import AlgebraSpec, TruncatedSeries, series_of, simple_system_series
 from .spaces import adams_homotopy_series
 
 
@@ -127,10 +128,21 @@ def verify_bijection(bound: int) -> CheckReport:
     return _bijection_report(_enumerate_triples(bound), bound)
 
 
-def _geometric(d: int, cap: int) -> TruncatedSeries:
+def _geometric(d: int, cap: int) -> tuple[int, ...]:
     # 1/(1 - t^d) in closed form: 1 in every degree divisible by d, built by
-    # list repetition, so a wrong stride kernel cannot predict its own result.
-    return TruncatedSeries((([1] + [0] * (d - 1)) * (cap // d + 1))[: cap + 1])
+    # list repetition, so a wrong height-1 product cannot predict its own result.
+    return (((1,) + (0,) * (d - 1)) * (cap // d + 1))[: cap + 1]
+
+
+def _times_closed_form(product: list[int], d: int) -> list[int]:
+    # The product times 1/(1 - t^d): a copy of it plus the product shifted by
+    # each multiple of d up to the cap, each shift read from the product
+    # before this factor, never from the list being built.
+    out = product[:]
+    for u in range(d, len(product), d):
+        # map stops at out[u:], the shorter input: the product truncates there.
+        out[u:] = map(operator.add, out[u:], product)
+    return out
 
 
 def _first_mismatch(expected: tuple[int, ...], actual: tuple[int, ...]) -> int | None:
@@ -149,15 +161,17 @@ def verify_main_theorem(cap: int) -> CheckReport:
     partition-counting oracle on the same degree set, and the stage-by-
     stage cumulative product in stage order.  Each runs its own kernel:
     running sums in series_of, the Euler transform in partition_dp, and
-    the general convolution mul of closed-form factors for the stagewise
-    route.
+    for the stagewise route, on one coefficient list, the product of the
+    stages before times each closed-form factor 1/(1 - t^d), checked as
+    one series at the end.
     """
     gens = [d for d in range(2, cap + 1) if not is_excluded(d)]
     via_product = series_of(AlgebraSpec(gens), cap)
     via_dp = partition_dp(gens, cap)
-    stagewise = TruncatedSeries.unit(cap)
+    product = [1] + [0] * cap
     for entry in stages_up_to_degree(cap):
-        stagewise = mul(stagewise, _geometric(entry.degree, cap))
+        product = _times_closed_form(product, entry.degree)
+    stagewise = TruncatedSeries(product)
     for name, candidate in (("product", via_product), ("stagewise", stagewise)):
         t = _first_mismatch(via_dp.coeffs, candidate.coeffs)
         if t is not None:
@@ -196,7 +210,7 @@ def verify_simple_systems(cap: int) -> CheckReport:
     polynomial series on d, 1/(1 - t^d) in closed form, for every d up
     to the cap."""
     for d in range(1, cap + 1):
-        expected, actual = _geometric(d, cap), simple_system_series(d, cap)
+        expected, actual = _geometric(d, cap), simple_system_series(d, cap).coeffs
         if expected != actual:
-            return CheckReport(Discrepancy(d, list(expected.coeffs), list(actual.coeffs)))
+            return CheckReport(Discrepancy(d, list(expected), list(actual)))
     return CheckReport()

@@ -17,16 +17,17 @@ stride kernel divides, because the Adams spectral sequence of a stage
 collapses, so its homotopy is the series of its own polynomial algebra,
 with no A_* factor to divide out.
 A height-1 factor 1 + t^e is one slice pass (simple_system_series).
-The general kernel mul is the product check's independent route: it
-multiplies the stagewise factors.  exact_div is no check's route (the
-quotient check multiplies each stage back by 1 - t^d); it stays a
-library kernel that the tests use as a reference.  Both take arbitrary
-operands and share no code with the stride kernels; each makes one
-slice pass per nonzero coefficient (of the sparser operand for mul, of
-the quotient for exact_div), and finds those coefficients with
-itertools.compress, so their cost follows the nonzero terms, at most
-O(cap^2).  A pass whose coefficient is 1, as every pass over a 0/1
-factor is, adds or subtracts the operand itself, with no multiply.
+The general kernels mul and exact_div are no check's route: the
+product check's stagewise route multiplies closed forms on one list of
+its own, and the quotient check multiplies each stage back by 1 - t^d.
+They stay library kernels that the tests use as their reference.
+Both take arbitrary operands and share no code with the stride
+kernels; each makes one slice pass per nonzero coefficient (of the
+sparser operand for mul, of the quotient for exact_div), and finds
+those coefficients with itertools.compress, so their cost follows the
+nonzero terms, at most O(cap^2).  A pass whose coefficient is 1, as
+every pass over a 0/1 factor is, adds or subtracts the operand itself,
+with no multiply.
 
 Coefficients are plain Python integers validated against the unsigned
 64-bit bound at construction, in two C-level passes: their types, then

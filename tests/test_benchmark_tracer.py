@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import cobfilt.cli
+import cobfilt.series
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -34,6 +35,11 @@ def test_tracer_wraps_every_traced_layer(capsys):
             tracer.begin_op()
             assert cobfilt.cli.main(argv) == 0
             tracer.end_op()
+        # no command calls mul, which the tracer wraps and reads the cap of
+        tracer.begin_op()
+        unit = cobfilt.series.TruncatedSeries.unit(8)
+        cobfilt.series.mul(unit, unit)
+        tracer.end_op()
     finally:
         tracer.uninstall()
     capsys.readouterr()

@@ -179,16 +179,77 @@ def test_main_theorem_detects_a_wrong_product_coefficient(monkeypatch):
 
 def test_main_theorem_detects_a_wrong_stagewise_convolution(monkeypatch):
     # the stagewise route must be able to fail on its own, with the other two agreeing
-    def corrupted(a, b):
-        coeffs = list(mul(a, b).coeffs)
-        coeffs[5] += 1
-        return TruncatedSeries(tuple(coeffs))
+    original = checks._times_closed_form
 
-    monkeypatch.setattr(checks, "mul", corrupted)
+    def corrupted(product, d):
+        out = original(product, d)
+        out[5] += 1
+        return out
+
+    monkeypatch.setattr(checks, "_times_closed_form", corrupted)
     report = verify_main_theorem(8)
     assert not report.passed
     # the true count 1, plus one extra from each of the five stage products up to degree 8
     assert report.first_discrepancy == Discrepancy(5, 1, {"stagewise": 6})
+
+
+def closed_form(d, cap):
+    # 1/(1 - t^d) as a series, for the general kernel mul
+    return TruncatedSeries(1 if t % d == 0 else 0 for t in range(cap + 1))
+
+
+@pytest.mark.parametrize("cap", [*range(65), 539])
+def test_main_theorem_stagewise_route_matches_a_chain_of_mul(monkeypatch, cap):
+    # the stagewise series is the last series the check builds; mul, which no
+    # check calls, multiplies the same closed forms in the same stage order
+    built = []
+
+    class Recorded(TruncatedSeries):
+        __slots__ = ()
+
+        def __new__(cls, coeffs):
+            built.append(super().__new__(cls, coeffs))
+            return built[-1]
+
+    monkeypatch.setattr(checks, "TruncatedSeries", Recorded)
+    assert verify_main_theorem(cap).passed
+    expected = TruncatedSeries.unit(cap)
+    for entry in stages_up_to_degree(cap):
+        expected = mul(expected, closed_form(entry.degree, cap))
+    assert built[-1] == expected
+
+
+def count_series_built(monkeypatch):
+    built = []
+    original = TruncatedSeries.__new__
+
+    def counted(cls, coeffs):
+        built.append(coeffs)
+        return original(cls, coeffs)
+
+    monkeypatch.setattr(TruncatedSeries, "__new__", counted)
+    return built
+
+
+@pytest.mark.parametrize("cap", [16, 128])
+def test_main_theorem_builds_one_series_per_route(monkeypatch, cap):
+    # the stagewise route multiplies its closed forms on one list, checked once at the end
+    built = count_series_built(monkeypatch)
+    assert verify_main_theorem(cap).passed
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("cap", [1, 16, 64])
+def test_simple_systems_build_one_series_per_degree(monkeypatch, cap):
+    # the closed form is a plain tuple; only the height-1 product is a series
+    built = count_series_built(monkeypatch)
+    assert verify_simple_systems(cap).passed
+    assert len(built) == cap
+
+
+def test_main_theorem_rejects_a_negative_cap():
+    with pytest.raises(ValueError):
+        verify_main_theorem(-1)
 
 
 def test_quotient_steps_detect_a_dropped_stage_generator(monkeypatch):
@@ -276,14 +337,7 @@ def test_quotient_steps_detect_a_kernel_wrong_in_the_top_degree_alone(stride_ker
 def test_quotient_steps_build_one_series_per_stage(monkeypatch, cap):
     # the stage series are the only series the check builds: it compares
     # coefficient tuples and builds no quotient or prediction of its own
-    built = []
-    original = TruncatedSeries.__new__
-
-    def counted(cls, coeffs):
-        built.append(coeffs)
-        return original(cls, coeffs)
-
-    monkeypatch.setattr(TruncatedSeries, "__new__", counted)
+    built = count_series_built(monkeypatch)
     assert verify_quotient_steps(cap).passed
     assert len(built) == len(stages_up_to_degree(cap)) + 1
 

@@ -18,7 +18,7 @@ import cobfilt.spaces as spaces
 from cobfilt import cli
 from cobfilt.degrees import decompose, is_excluded, stages_up_to_degree
 from cobfilt.manifolds import expand, plan, stage_recipe
-from cobfilt.series import U64_MAX, AlgebraSpec, TruncatedSeries, mul, series_of
+from cobfilt.series import U64_MAX, AlgebraSpec, TruncatedSeries, series_of
 from cobfilt.spaces import steenrod_series
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -416,12 +416,14 @@ def test_verify_rejects_tiny_cap(run_cli):
 @pytest.fixture
 def wrong_stagewise_convolution(monkeypatch):
     # the defect of test_main_theorem_detects_a_wrong_stagewise_convolution
-    def corrupted(a, b):
-        coeffs = list(mul(a, b).coeffs)
-        coeffs[5] += 1
-        return TruncatedSeries(tuple(coeffs))
+    original = checks._times_closed_form
 
-    monkeypatch.setattr(checks, "mul", corrupted)
+    def corrupted(product, d):
+        out = original(product, d)
+        out[5] += 1
+        return out
+
+    monkeypatch.setattr(checks, "_times_closed_form", corrupted)
 
 
 def test_verify_failure_exits_one(run_cli, wrong_stagewise_convolution):
@@ -763,6 +765,8 @@ GOLDEN_JSON = {
     "decompose_7.json": (2, ("decompose", "7")),
     "series_homotopy_2_0_1_cap32.json": (0, ("series", "homotopy", "--stage", "2,0,1", "--cap", "32")),
     "verify_all_cap16.json": (0, ("verify", "--check", "all", "--cap", "16")),
+    # the product series at the top of the u64 range, its last entry 2^64 - 1 or below
+    "verify_product_cap539.json": (0, ("verify", "--check", "product", "--cap", "539")),
 }
 
 
