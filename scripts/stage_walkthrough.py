@@ -7,15 +7,17 @@ degree, the cup-construction recipe, and the quotient of consecutive
 homotopy series, which should always be the series of Z/2[x_d] for the
 incoming degree d.  1 - t^d is a unit of the truncated ring, so the
 quotient is 1/(1 - t^d) exactly when the stage's series times 1 - t^d
-is the previous stage's.  A stage where the two differ gets a MISMATCH
-line naming the first differing degree and both coefficients, and the
-walk goes on.  Exits 1 on any mismatch.
+is the previous stage's.  The stages, their series and that check come
+from the quotient check's own walk (verify --check quotients).  A stage
+where the two differ gets a MISMATCH line with the check's witness, the
+first differing degree and both coefficients, and the walk goes on.
+Exits 1 on any mismatch.
 """
 
 import argparse
-import operator
 
-from cobfilt.degrees import BASE, stages_up_to_degree
+from cobfilt.checks import _quotient_walk
+from cobfilt.degrees import BASE
 from cobfilt.manifolds import expand, stage_recipe
 from cobfilt.spaces import adams_homotopy_series
 
@@ -27,29 +29,20 @@ def main():
     if args.bound < 0:
         parser.error(f"--bound must be >= 0, got {args.bound}")
 
-    # the series cap must equal the stage bound: stages whose degree falls
-    # between the two would contribute generators between consecutive rows
-    cap = args.bound
-    previous = adams_homotopy_series(BASE, cap)
-    print(f"base stage (1,0,0): homotopy series {list(previous.coeffs)}")
+    cap = args.bound  # the walk's stage bound and series cap, one number
+    print(f"base stage (1,0,0): homotopy series {list(adams_homotopy_series(BASE, cap).coeffs)}")
     print()
     mismatches = 0
-    for entry in stages_up_to_degree(args.bound):
-        t, d = entry.triple, entry.degree
-        current = adams_homotopy_series(t, cap)
-        # times 1 - t^d: a backward difference, not the stride kernel's running sum
-        c, p = current.coeffs, previous.coeffs
-        back = c[:d] + tuple(map(operator.sub, c[d:], c))
-        k = next((k for k in range(cap + 1) if back[k] != p[k]), None)
+    for (d, t), c, witness in _quotient_walk(cap):
         marker = "ok"
-        if k is not None:
+        if witness is not None:
             mismatches += 1
-            marker = f"MISMATCH: times 1 - t^{d} gives {back[k]} in degree {k}, the previous stage {p[k]}"
+            k, previous, back = witness
+            marker = f"MISMATCH: times 1 - t^{d} gives {back} in degree {k}, the previous stage {previous}"
         print(f"stage ({t.n},{t.j},{t.i}): new generator x_{d}")
         print(f"  manifold  {expand(stage_recipe(t))}")
         print(f"  series    {list(c)}")
         print(f"  quotient  1/(1 - t^{d})  [{marker}]")
-        previous = current
     return 1 if mismatches else 0
 
 

@@ -15,8 +15,6 @@ from .checks import (
 )
 from .degrees import (
     BASE,
-    BaseStageError,
-    DegreeTooSmallError,
     ExcludedDegreeError,
     StageTriple,
     TableEntry,

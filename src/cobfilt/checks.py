@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import operator
 from itertools import compress, count
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .degrees import BASE, decompose, is_excluded, stages_up_to_degree
+from .degrees import BASE, TableEntry, decompose, is_excluded, stages_up_to_degree
 from .series import AlgebraSpec, TruncatedSeries, series_of, simple_system_series
 from .spaces import adams_homotopy_series
 
@@ -194,15 +194,20 @@ def verify_quotient_steps(cap: int) -> CheckReport:
     first differing degree, the previous stage's coefficient and the
     product's.
     """
+    return CheckReport(next((w for _, _, w in _quotient_walk(cap) if w is not None), None))
+
+
+def _quotient_walk(cap: int) -> Iterator[tuple[TableEntry, tuple[int, ...], Discrepancy | None]]:
+    # Each stage in stage order: its entry, its homotopy series and the witness of
+    # its quotient step, None when the stage times 1 - t^d is the stage before.
+    # The walk goes on past a failing stage, from that stage's own series.
     previous = adams_homotopy_series(BASE, cap).coeffs
     for entry in stages_up_to_degree(cap):
         d, c = entry.degree, adams_homotopy_series(entry.triple, cap).coeffs
         back = c[:d] + tuple(map(operator.sub, c[d:], c))
         t = _first_mismatch(previous, back)
-        if t is not None:
-            return CheckReport(Discrepancy(t, previous[t], back[t]))
+        yield entry, c, None if t is None else Discrepancy(t, previous[t], back[t])
         previous = c
-    return CheckReport()
 
 
 def verify_simple_systems(cap: int) -> CheckReport:

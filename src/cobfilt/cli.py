@@ -48,7 +48,15 @@ from .checks import (
     verify_simple_systems,
 )
 from .degrees import ExcludedDegreeError, StageTriple, compose, decompose, iter_runs
-from .manifolds import _PROJECTIVE, _base_dim, cup_wrapping, expand, indecomposable, stage_recipe
+from .manifolds import (
+    _CUP_CLOSE,
+    _CUP_OPEN,
+    _PROJECTIVE,
+    _base_dim,
+    expand,
+    indecomposable,
+    stage_recipe,
+)
 from .spaces import adams_homotopy_series, steenrod_series, thom_homology_series
 
 EXIT_OK = 0
@@ -235,7 +243,7 @@ def _table_rows(max_degree: int, as_json: bool) -> Iterator[str]:
     term is the cup-1 of the term before it.  Each row is formatted right
     there, from its run's n and j and its own degree, i and term.
     """
-    (cup1, close), (cup2, _) = cup_wrapping(1), cup_wrapping(2)
+    cup1, cup2, close = _CUP_OPEN[1], _CUP_OPEN[2], _CUP_CLOSE
     if not as_json:
         yield f"{'degree':<8}{'stage':<12}recipe"
     count = 0

@@ -35,14 +35,6 @@ class ExcludedDegreeError(ValueError):
     """Degree of the form 2^k - 1: carries no polynomial generator."""
 
 
-class DegreeTooSmallError(ValueError):
-    """A negative degree.  Degrees start at 0; 0 and 1 are excluded, not too small."""
-
-
-class BaseStageError(ValueError):
-    """The base stage (1, 0, 0) has no generator degree."""
-
-
 class _Triple(NamedTuple):
     n: int
     j: int
@@ -70,10 +62,6 @@ class StageTriple(_Triple):
         # NamedTuple's _make, and _replace through it, would skip the check.
         return cls(*iterable)
 
-    @property
-    def is_base(self) -> bool:
-        return self.n == 1 and self.j == 0
-
 
 BASE = StageTriple(1, 0, 0)
 
@@ -92,8 +80,8 @@ def is_excluded(d: int) -> bool:
 
 def compose(t: StageTriple) -> int:
     """The generator degree ((4n - 2) 2^j - 1) 2^i - 1 of a stage."""
-    if t.is_base:
-        raise BaseStageError("the base stage (1, 0, 0) carries no generator")
+    if t == BASE:
+        raise ValueError("the base stage (1, 0, 0) carries no generator")
     return ((4 * t.n - 2) * (1 << t.j) - 1) * (1 << t.i) - 1
 
 
@@ -103,9 +91,7 @@ def decompose(d: int) -> StageTriple:
     i is the 2-adic valuation of d + 1; stripping it leaves an odd m,
     and the valuation and odd part of m + 1 determine j and n.
     """
-    if d < 0:
-        raise DegreeTooSmallError(f"degree must be >= 0, got {d}")
-    if is_excluded(d):
+    if is_excluded(d):  # raises ValueError for d < 0
         raise ExcludedDegreeError(
             f"no generator in degree {d}: {d + 1} is a power of two"
         )

@@ -27,17 +27,17 @@ to (n, j + 1, 0), so each term of a run of stages (n, j, 0), (n, j, 1),
 ... is the cup-1 of the term before it, and the first term of each run
 is the cup-2 of the first term of the run before it, except for the
 first run of each n, which has no cup step: its first term is the bare
-base RP^b of that n.  cup_wrapping gives the text one step puts around
-a term, so a caller that walks the runs, as the table command does,
-renders each first run's first term from its base dimension and each
-other term from the one before it.
+base RP^b of that n.  So a caller that walks the runs, as the table
+command does, renders each first run's first term from its base
+dimension and each other term from the one before it, with the text one
+cup step puts around a term.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .degrees import StageTriple, decompose
+from .degrees import BASE, StageTriple, decompose
 
 
 class RuleNotApplicableError(ValueError):
@@ -116,8 +116,11 @@ def stage_recipe(t: StageTriple) -> CupRecipe:
     """The recipe of a generator-bearing stage (n, j, i).
 
     Base RP^2 with j - 1 cup-2 steps for n = 1, base RP^(4(n-1)) with
-    j cup-2 steps for n >= 2, then i cup-1 steps.
+    j cup-2 steps for n >= 2, then i cup-1 steps.  The base stage has no
+    recipe.
     """
+    if t == BASE:
+        raise ValueError("the base stage (1, 0, 0) carries no generator")
     # The first run of n is j = 1 for n = 1 and j = 0 otherwise, and has no cup-2 step.
     cup2 = t.j - 1 if t.n == 1 else t.j
     return CupRecipe(_base_dim(t.n), (2,) * cup2 + (1,) * t.i)
@@ -143,13 +146,6 @@ def expand(r: CupRecipe) -> str:
     """
     opens = [_CUP_OPEN[m] for m in reversed(r.steps)]
     return "".join([*opens, f"{_PROJECTIVE}{r.base_dim}", _CUP_CLOSE * len(opens)])
-
-
-def cup_wrapping(m: int) -> tuple[str, str]:
-    """The text one cup-m step puts before and after a term: the term T
-    of a manifold renders its cup-m as before + T + after, one more step
-    on the outside of expand's rendering."""
-    return _CUP_OPEN[m], _CUP_CLOSE
 
 
 def indecomposable(r: CupRecipe) -> tuple[Justification, ...]:

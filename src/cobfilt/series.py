@@ -17,10 +17,7 @@ stride kernel divides, because the Adams spectral sequence of a stage
 collapses, so its homotopy is the series of its own polynomial algebra,
 with no A_* factor to divide out.
 A height-1 factor 1 + t^e is one slice pass (simple_system_series).
-The general kernels mul and exact_div are no check's route: the
-product check's stagewise route multiplies closed forms on one list of
-its own, and the quotient check multiplies each stage back by 1 - t^d.
-They stay library kernels that the tests use as their reference.
+The general kernels mul and exact_div are no check's route (see checks).
 Both take arbitrary operands and share no code with the stride
 kernels; each makes one slice pass per nonzero coefficient (of the
 sparser operand for mul, of the quotient for exact_div), and finds

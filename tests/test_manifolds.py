@@ -3,15 +3,17 @@ import re
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from cobfilt.degrees import ExcludedDegreeError, decompose, is_excluded
+from cobfilt.degrees import BASE, ExcludedDegreeError, decompose, is_excluded
 from cobfilt.manifolds import (
+    _CUP_CLOSE,
+    _CUP_OPEN,
     CupRecipe,
     Justification,
     RuleNotApplicableError,
-    cup_wrapping,
     expand,
     indecomposable,
     plan,
+    stage_recipe,
 )
 
 
@@ -45,6 +47,12 @@ def test_plan_known_degrees(degree, base, cup2, cup1):
 def test_plan_rejects_excluded_degrees():
     with pytest.raises(ExcludedDegreeError):
         plan(7)
+
+
+def test_stage_recipe_rejects_the_base_stage_as_compose_does():
+    # The base stage has no generator, so no degree for a recipe to reach.
+    with pytest.raises(ValueError, match=r"^the base stage \(1, 0, 0\) carries no generator$"):
+        stage_recipe(BASE)
 
 
 @given(st.integers(2, 10**5))
@@ -147,8 +155,8 @@ def test_expand_parse_round_trip(d):
 def test_cup_wrapping_adds_one_outer_step_to_expand(d, m):
     assume(not is_excluded(d))
     r = plan(d)
-    before, after = cup_wrapping(m)
-    assert before + expand(r) + after == expand(CupRecipe(r.base_dim, (*r.steps, m)))
+    # The text around a term that the table walk puts on for one more cup step.
+    assert _CUP_OPEN[m] + expand(r) + _CUP_CLOSE == expand(CupRecipe(r.base_dim, (*r.steps, m)))
 
 
 def test_parse_keeps_hand_built_step_order():

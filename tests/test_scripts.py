@@ -1,6 +1,7 @@
 """The walkthrough script runs end to end on the kernels it imports."""
 
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cobfilt.checks as checks
 import cobfilt.spaces as spaces
 from cobfilt.degrees import decompose, stages_up_to_degree
 from cobfilt.series import TruncatedSeries
@@ -25,6 +27,22 @@ def run_script(*argv):
         env=env,
         timeout=120,
     )
+
+
+def run_walkthrough_16(monkeypatch, capsys):
+    # In-process, so a patch made by the test reaches the walk the script reads.
+    monkeypatch.setattr(sys, "argv", ["stage_walkthrough.py", "--bound", "16"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(ROOT / "scripts" / "stage_walkthrough.py"), run_name="__main__")
+    return exited.value.code, capsys.readouterr().out
+
+
+def assert_first_mismatch_is_the_check_witness(out):
+    # The script has no quotient step of its own: its first MISMATCH is the
+    # witness verify_quotient_steps reports under the same defect.
+    first = re.search(r"gives (\d+) in degree (\d+), the previous stage (\d+)", out)
+    back, k, previous = map(int, first.groups())
+    assert checks.verify_quotient_steps(16).first_discrepancy == (k, previous, back)
 
 
 def test_stage_walkthrough_confirms_every_quotient():
@@ -49,34 +67,31 @@ def test_stage_walkthrough_exits_one_on_a_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(
         spaces, "stage_generator_degrees", lambda t, bound: [d for d in original(t, bound) if d != 6]
     )
-    monkeypatch.setattr(sys, "argv", ["stage_walkthrough.py", "--bound", "16"])
-    with pytest.raises(SystemExit) as exited:
-        runpy.run_path(str(ROOT / "scripts" / "stage_walkthrough.py"), run_name="__main__")
-    assert exited.value.code == 1
-    out = capsys.readouterr().out
+    code, out = run_walkthrough_16(monkeypatch, capsys)
+    assert code == 1
     assert "  quotient  1/(1 - t^6)  [MISMATCH: times 1 - t^6 gives 0 in degree 6, the previous stage 1]\n" in out
     assert out.count("[MISMATCH") == 1
     assert out.count("[ok]") == len(stages_up_to_degree(16)) - 1
+    assert_first_mismatch_is_the_check_witness(out)
 
 
 def test_stage_walkthrough_goes_on_past_a_stage_the_one_before_does_not_divide(monkeypatch, capsys):
     # The stage of degree 5 reports the unit series.  Times 1 - t^5 it is not
     # the stage before, 1/(1 - t^2); and the next stage, of degree 11, times
-    # 1 - t^11 is not the unit series either.
-    original, five = spaces.adams_homotopy_series, decompose(5)
+    # 1 - t^11 is not the unit series either.  The patch goes where the quotient
+    # check's walk reads the stage series.
+    original, five = checks.adams_homotopy_series, decompose(5)
     monkeypatch.setattr(
-        spaces,
+        checks,
         "adams_homotopy_series",
         lambda t, cap: TruncatedSeries.unit(cap) if t == five else original(t, cap),
     )
-    monkeypatch.setattr(sys, "argv", ["stage_walkthrough.py", "--bound", "16"])
-    with pytest.raises(SystemExit) as exited:
-        runpy.run_path(str(ROOT / "scripts" / "stage_walkthrough.py"), run_name="__main__")
-    assert exited.value.code == 1
-    out = capsys.readouterr().out
+    code, out = run_walkthrough_16(monkeypatch, capsys)
+    assert code == 1
     stages = [line for line in out.splitlines() if line.startswith("stage (")]
     assert stages == [f"stage ({n},{j},{i}): new generator x_{d}" for d, (n, j, i) in stages_up_to_degree(16)]
     assert "  quotient  1/(1 - t^5)  [MISMATCH: times 1 - t^5 gives 0 in degree 2, the previous stage 1]\n" in out
     assert "  quotient  1/(1 - t^11)  [MISMATCH: times 1 - t^11 gives 1 in degree 2, the previous stage 0]\n" in out
     assert out.count("[MISMATCH") == 2
     assert out.count("[ok]") == len(stages) - 2
+    assert_first_mismatch_is_the_check_witness(out)
