@@ -11,12 +11,15 @@ is the previous stage's.  The stages, their series and that check come
 from the quotient check's own walk (verify --check quotients).  A stage
 where the two differ gets a MISMATCH line with the check's witness, the
 first differing degree and both coefficients, and the walk goes on.
-Exits 1 on any mismatch.
+Exits 1 on any mismatch.  A bound above the quotient check's own limit,
+where the last stage's series would exceed 64 bits, is refused before
+any work, with exit 2.
 """
 
 import argparse
 
 from cobfilt.checks import _quotient_walk
+from cobfilt.cli import _CAP_LIMITS
 from cobfilt.degrees import BASE
 from cobfilt.manifolds import expand, stage_recipe
 from cobfilt.spaces import adams_homotopy_series
@@ -28,6 +31,9 @@ def main():
     args = parser.parse_args()
     if args.bound < 0:
         parser.error(f"--bound must be >= 0, got {args.bound}")
+    limit, _ = _CAP_LIMITS[("verify", "quotients")]
+    if args.bound > limit:
+        parser.error(f"--bound must be <= {limit}, got {args.bound}")
 
     cap = args.bound  # the walk's stage bound and series cap, one number
     print(f"base stage (1,0,0): homotopy series {list(adams_homotopy_series(BASE, cap).coeffs)}")

@@ -17,14 +17,12 @@ stride kernel divides, because the Adams spectral sequence of a stage
 collapses, so its homotopy is the series of its own polynomial algebra,
 with no A_* factor to divide out.
 A height-1 factor 1 + t^e is one slice pass (simple_system_series).
-The general kernels mul and exact_div are no check's route (see checks).
-Both take arbitrary operands and share no code with the stride
-kernels; each makes one slice pass per nonzero coefficient (of the
-sparser operand for mul, of the quotient for exact_div), and finds
-those coefficients with itertools.compress, so their cost follows the
-nonzero terms, at most O(cap^2).  A pass whose coefficient is 1, as
-every pass over a 0/1 factor is, adds or subtracts the operand itself,
-with no multiply.
+The general kernels mul and exact_div are no check's route (see checks):
+they are plain references for the tests.  Both take arbitrary operands
+and share no code with the stride kernels; each makes one slice pass
+per nonzero coefficient (of the sparser operand for mul, of the
+quotient for exact_div), so their cost follows the nonzero terms, at
+most O(cap^2).
 
 Coefficients are plain Python integers validated against the unsigned
 64-bit bound at construction, in two C-level passes: their types, then
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 import operator
 from array import array
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 U64_MAX = 2**64 - 1
@@ -85,8 +83,6 @@ class AlgebraSpec(_Spec):
 
     def generators_below(self, bound: int) -> tuple[int, ...]:
         """The degrees of all generators of degree <= bound."""
-        if max(self.degrees, default=0) <= bound:
-            return self.degrees
         return tuple(d for d in self.degrees if d <= bound)
 
 
@@ -130,11 +126,6 @@ class TruncatedSeries(_Coeffs):
         """The top degree counted."""
         return len(self.coeffs) - 1
 
-    @classmethod
-    def unit(cls, cap: int) -> TruncatedSeries:
-        """The series of the unit algebra: 1 in degree 0, nothing above."""
-        return cls(_unit_list(cap))
-
 
 def _fits_u64(coeffs: tuple[int, ...]) -> bool:
     # Packing as unsigned 64-bit raises OverflowError for a negative
@@ -157,20 +148,17 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Truncated convolution: the series of a tensor product of graded spaces.
 
     The operand with more zero coefficients is the outer one, and each of
-    its nonzero coefficients adds a multiple of the other operand in one
-    slice pass, so the work follows the nonzero terms, not cap^2.  A
-    coefficient of 1 adds the operand itself, with no multiply.
+    its nonzero coefficients adds that multiple of the other operand in
+    one slice pass, so the work follows the nonzero terms, not cap^2.
     """
     if a.cap != b.cap:
         raise ValueError(f"cap mismatch: {a.cap} != {b.cap}")
     cap = a.cap
     outer, inner = (b, a) if a.coeffs.count(0) < b.coeffs.count(0) else (a, b)
     out = [0] * (cap + 1)
-    for u, c in compress(enumerate(outer.coeffs), outer.coeffs):
+    for u, c in enumerate(outer.coeffs):
         # map stops at out[u:], the shorter input: the product truncates there.
-        if c == 1:
-            out[u:] = map(operator.add, out[u:], inner.coeffs)
-        else:
+        if c:
             out[u:] = map(operator.add, out[u:], map(operator.mul, repeat(c), inner.coeffs))
     return TruncatedSeries(tuple(out))
 
@@ -181,8 +169,7 @@ def exact_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     Requires b[0] = 1.  The working list starts as a; once the degrees
     below t are settled, its degree-t entry is the quotient coefficient,
     and a nonzero one subtracts its multiple of b from the degrees above
-    in one slice pass; a coefficient of 1 subtracts b itself, with no
-    multiply.  Raises NotDivisibleError at the lowest quotient
+    in one slice pass.  Raises NotDivisibleError at the lowest quotient
     coefficient that would have to be negative, which is how a failed
     tensor decomposition announces itself.
     """
@@ -192,16 +179,12 @@ def exact_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("divisor must have constant coefficient 1")
     q = list(a.coeffs)
     tail = b.coeffs[1:]
-    # compress skips the zero entries.  Its iterators read q entry by
-    # entry, so each entry is read after the passes of the degrees below
-    # it: a pass rewrites q[t + 1:] in place and keeps the length of q.
-    for t, c in compress(enumerate(q), q):
+    for t in range(len(q)):
+        c = q[t]
         if c < 0:
             raise NotDivisibleError(f"quotient coefficient in degree {t} would be {c}")
         # map stops at q[t + 1:], the shorter input: the degrees above t.
-        if c == 1:
-            q[t + 1 :] = map(operator.sub, q[t + 1 :], tail)
-        else:
+        if c:
             q[t + 1 :] = map(operator.sub, q[t + 1 :], map(operator.mul, repeat(c), tail))
     return TruncatedSeries(tuple(q))
 
@@ -216,14 +199,14 @@ _last: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
     """Poincare series of a polynomial algebra, truncated at cap.
 
-    Generators above the cap contribute the factor 1 and are skipped.
+    A generator above the cap contributes the factor 1: its pass is empty.
     A call at the cap of the last build, whose degrees begin with that
     build's, starts from it and runs the remaining factors only.  The
     last build counts even if it overflowed: its coefficients are exact,
     so the result equals a cold build's and names the same overflow.
     """
     global _last
-    degrees = spec.generators_below(cap)
+    degrees = spec.degrees
     last = _last
     if last is not None and len(last[1]) == cap + 1 and degrees[: len(last[0])] == last[0]:
         done, coeffs = len(last[0]), list(last[1])

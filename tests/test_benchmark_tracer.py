@@ -37,7 +37,7 @@ def test_tracer_wraps_every_traced_layer(capsys):
             tracer.end_op()
         # no command calls mul, which the tracer wraps and reads the cap of
         tracer.begin_op()
-        unit = cobfilt.series.TruncatedSeries.unit(8)
+        unit = cobfilt.series.TruncatedSeries((1,) + (0,) * 8)
         cobfilt.series.mul(unit, unit)
         tracer.end_op()
     finally:

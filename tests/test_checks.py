@@ -213,7 +213,7 @@ def test_main_theorem_stagewise_route_matches_a_chain_of_mul(monkeypatch, cap):
 
     monkeypatch.setattr(checks, "TruncatedSeries", Recorded)
     assert verify_main_theorem(cap).passed
-    expected = TruncatedSeries.unit(cap)
+    expected = TruncatedSeries((1,) + (0,) * cap)
     for entry in stages_up_to_degree(cap):
         expected = mul(expected, closed_form(entry.degree, cap))
     assert built[-1] == expected
@@ -272,7 +272,7 @@ def test_quotient_steps_report_a_stage_the_previous_one_does_not_divide(monkeypa
     original = checks.adams_homotopy_series
 
     def unit_at_second(t, cap):
-        return TruncatedSeries.unit(cap) if t == second else original(t, cap)
+        return TruncatedSeries((1,) + (0,) * cap) if t == second else original(t, cap)
 
     monkeypatch.setattr(checks, "adams_homotopy_series", unit_at_second)
     report = verify_quotient_steps(16)

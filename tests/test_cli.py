@@ -472,7 +472,7 @@ def _non_dividing_stage(monkeypatch):
     second, original = stages_up_to_degree(16)[1].triple, checks.adams_homotopy_series
     monkeypatch.setattr(
         checks, "adams_homotopy_series",
-        lambda t, cap: TruncatedSeries.unit(cap) if t == second else original(t, cap),
+        lambda t, cap: TruncatedSeries((1,) + (0,) * cap) if t == second else original(t, cap),
     )
 
 

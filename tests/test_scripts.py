@@ -60,6 +60,18 @@ def test_stage_walkthrough_rejects_a_negative_bound():
     assert "Traceback" not in proc.stderr
 
 
+def test_stage_walkthrough_refuses_a_bound_above_the_quotient_check_limit():
+    # The last stage's series first exceeds 64 bits in degree 540: that is no MISMATCH.
+    proc = run_script("stage_walkthrough.py", "--bound", "540")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith("error: --bound must be <= 539, got 540\n")
+    assert "Traceback" not in proc.stderr
+    proc = run_script("stage_walkthrough.py", "--bound", "539")
+    assert proc.returncode == 0, proc.stderr
+    assert "MISMATCH" not in proc.stdout
+
+
 def test_stage_walkthrough_exits_one_on_a_mismatch(monkeypatch, capsys):
     # the stage of degree 6 loses its generator, so its quotient is 1, not 1/(1 - t^6):
     # times 1 - t^6 it loses the previous stage's t^6
@@ -84,7 +96,7 @@ def test_stage_walkthrough_goes_on_past_a_stage_the_one_before_does_not_divide(m
     monkeypatch.setattr(
         checks,
         "adams_homotopy_series",
-        lambda t, cap: TruncatedSeries.unit(cap) if t == five else original(t, cap),
+        lambda t, cap: TruncatedSeries((1,) + (0,) * cap) if t == five else original(t, cap),
     )
     code, out = run_walkthrough_16(monkeypatch, capsys)
     assert code == 1

@@ -31,7 +31,7 @@ def geometric(d, cap):
 
 def convolution_product(degrees, cap):
     # the series of Z/2[x_d for d in degrees] as a chain of general convolutions
-    out = TruncatedSeries.unit(cap)
+    out = TruncatedSeries((1,) + (0,) * cap)
     for d in degrees:
         out = mul(out, geometric(d, cap))
     return out
@@ -68,6 +68,19 @@ def coefficient_lists(cap, max_coeff=30):
     return st.lists(st.integers(0, max_coeff), min_size=cap + 1, max_size=cap + 1)
 
 
+def record_passes(monkeypatch):
+    # the degrees of every stride pass series_of runs from here on, in order
+    passes = []
+    original = cobfilt.series._times_geometric
+
+    def recording(coeffs, degrees):
+        passes.extend(degrees)
+        original(coeffs, degrees)
+
+    monkeypatch.setattr(cobfilt.series, "_times_geometric", recording)
+    return passes
+
+
 # ---------------------------------------------------------------------------
 # series_of
 
@@ -85,9 +98,17 @@ def test_polynomial_two_generators():
     assert series_of(AlgebraSpec((2, 5)), 7).coeffs == (1, 0, 1, 0, 1, 1, 1, 1)
 
 
-def test_generator_above_cap_contributes_nothing():
+def test_generator_above_cap_contributes_nothing(monkeypatch):
     assert series_of(AlgebraSpec((9,)), 5).coeffs == (1, 0, 0, 0, 0, 0)
     assert AlgebraSpec((2, 9, 5)).generators_below(5) == (2, 5)
+    # The last build's degrees keep the one above the cap, so a build that
+    # extends them resumes from it and runs the new degree's pass alone.
+    cobfilt.series._last = None
+    cold = series_of(AlgebraSpec((2, 3)), 5)
+    series_of(AlgebraSpec((2, 9)), 5)
+    passes = record_passes(monkeypatch)
+    assert series_of(AlgebraSpec((2, 9, 3)), 5) == cold
+    assert passes == [3]
 
 
 @given(algebra_specs(), st.integers(0, 24))
@@ -132,17 +153,10 @@ def test_a_build_after_an_overflowing_one_resumes_from_it(monkeypatch):
     cobfilt.series._last = None
     with pytest.raises(OverflowError) as cold:
         series_of(AlgebraSpec(gens), 600)
-
-    def recording(coeffs, degrees):
-        passes.extend(degrees)
-        original(coeffs, degrees)
-
-    original = cobfilt.series._times_geometric
-    monkeypatch.setattr(cobfilt.series, "_times_geometric", recording)
-    passes = []
+    passes = record_passes(monkeypatch)
     with pytest.raises(OverflowError, match="^coefficient in degree 542 exceeds the 64-bit bound$"):
         series_of(AlgebraSpec(gens[:done]), 600)
-    passes = []
+    passes.clear()
     with pytest.raises(OverflowError) as resumed:
         series_of(AlgebraSpec(gens), 600)
     assert str(resumed.value) == str(cold.value) == "coefficient in degree 540 exceeds the 64-bit bound"
@@ -161,7 +175,7 @@ def test_mul_matches_hand_convolution():
 
 def test_mul_unit_is_identity():
     a = TruncatedSeries((3, 1, 4, 1, 5))
-    assert mul(a, TruncatedSeries.unit(4)).coeffs == a.coeffs
+    assert mul(a, TruncatedSeries((1,) + (0,) * 4)).coeffs == a.coeffs
 
 
 def test_mul_truncates():
@@ -171,7 +185,7 @@ def test_mul_truncates():
 
 def test_mul_cap_mismatch():
     with pytest.raises(ValueError) as raised:
-        mul(TruncatedSeries.unit(3), TruncatedSeries.unit(4))
+        mul(TruncatedSeries((1,) + (0,) * 3), TruncatedSeries((1,) + (0,) * 4))
     assert str(raised.value) == "cap mismatch: 3 != 4"
 
 
@@ -338,7 +352,7 @@ def test_simple_system_base_five():
 
 @given(st.integers(1, 20), st.integers(0, 40))
 def test_simple_system_equals_brute_force_product(d, cap):
-    product = TruncatedSeries.unit(cap)
+    product = TruncatedSeries((1,) + (0,) * cap)
     e = d
     while e <= cap:
         factor = TruncatedSeries(tuple(int(t in (0, e)) for t in range(cap + 1)))
@@ -365,7 +379,7 @@ def test_coeff_length_must_match_cap():
 
 @pytest.mark.parametrize(
     "build",
-    [TruncatedSeries.unit, lambda cap: series_of(AlgebraSpec((1,)), cap),
+    [lambda cap: series_of(AlgebraSpec(()), cap), lambda cap: series_of(AlgebraSpec((1,)), cap),
      lambda cap: simple_system_series(1, cap)],
     ids=["unit", "series_of", "simple_system_series"],
 )
@@ -379,7 +393,7 @@ def test_negative_cap_rejected(build, cap):
 
 def test_exact_div_cap_mismatch():
     with pytest.raises(ValueError) as raised:
-        exact_div(TruncatedSeries.unit(3), TruncatedSeries.unit(4))
+        exact_div(TruncatedSeries((1,) + (0,) * 3), TruncatedSeries((1,) + (0,) * 4))
     assert str(raised.value) == "cap mismatch: 3 != 4"
 
 
