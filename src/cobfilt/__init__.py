@@ -26,7 +26,6 @@ from .degrees import (
 from .manifolds import (
     CupRecipe,
     Justification,
-    RuleNotApplicableError,
     expand,
     indecomposable,
     plan,

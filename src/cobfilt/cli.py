@@ -9,10 +9,10 @@ the output was written.
 Commands return before anything is written; table alone makes its rows
 while main writes them, which is safe because it cannot fail once its
 argument parses (see main).
-Every error code comes from the one table in `main`: EXCLUDED_DEGREE,
-COEFFICIENT_OVERFLOW and CAP_LIMIT (2), MISSING_STAGE and USAGE (64),
-and INTERNAL (70, with the traceback on stderr).  main refuses a cap
-above its row of _CAP_LIMITS before any work.  A usage error prints
+Every error code comes from one table, _ERRORS, which main reads:
+EXCLUDED_DEGREE, COEFFICIENT_OVERFLOW and CAP_LIMIT (2), MISSING_STAGE
+and USAGE (64), and INTERNAL (70, with the traceback on stderr).  main
+refuses a cap above its row of _CAP_LIMITS before any work.  A usage error prints
 usage on stderr, or, when the argv starts with a command and holds
 --json, a USAGE envelope with empty parameters.
 Options must be spelled out in full: no parser accepts a prefix such

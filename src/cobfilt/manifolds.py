@@ -14,13 +14,14 @@ with j cup-2 steps when n >= 2, then i cup-1 steps either way.
 Indecomposability travels along the recipe: even projective spaces
 represent indecomposable classes, cup-1 preserves indecomposability
 unconditionally, and cup-2 preserves it on even-dimensional inputs.
-The cup-2-then-cup-1 order keeps every cup-2 input even, which is why
-plan output always admits a full justification chain.
+A recipe applies every cup-2 step before any cup-1 step, so each cup-2
+meets the even base or the even output 2d + 2 of a cup-2, and every
+recipe admits a full justification chain.
 
-A recipe stores its base dimension and its step values, 1 or 2, in the
-order they apply; the step counts and intermediate dimensions are read
-off the steps.  Recipes are symbolic terms only; nothing here builds an
-actual cell or simplicial model.
+A recipe stores its base dimension and its two step counts, cup-2 steps
+first; the intermediate dimensions are read off them.  Recipes are
+symbolic terms only; nothing here builds an actual cell or simplicial
+model.
 
 Cup-1 takes stage (n, j, i) to (n, j, i + 1) and cup-2 takes (n, j, 0)
 to (n, j + 1, 0), so each term of a run of stages (n, j, 0), (n, j, 1),
@@ -35,39 +36,36 @@ cup step puts around a term.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from itertools import accumulate, chain, repeat
+from typing import NamedTuple
 
 from .degrees import BASE, StageTriple, decompose
 
 
-class RuleNotApplicableError(ValueError):
-    """A step in a justification chain does not meet its rule's hypothesis."""
-
-
 class _Recipe(NamedTuple):
     base_dim: int
-    steps: tuple[int, ...] = ()
+    cup2_count: int
+    cup1_count: int
 
 
 class CupRecipe(_Recipe):
-    """A base projective-space dimension and the cup steps applied to it.
+    """A base projective-space dimension, then cup2_count cup-2 steps,
+    then cup1_count cup-1 steps.
 
-    steps holds the cup value of each step, 1 or 2, in the order the
-    steps are applied.  plan puts every cup-2 step first; other orders
-    are allowed for hand-built recipes, which the indecomposability
-    checker then vets.  A plain tuple underneath, as StageTriple is: the
-    constructor stores the steps as a tuple and checks the base and steps.
+    The cup-2 steps come first, so the type holds only recipes whose
+    cup-2 steps meet even dimensions.  A plain tuple underneath, as
+    StageTriple is: the constructor checks the base and the counts.
     """
 
     __slots__ = ()
 
-    def __new__(cls, base_dim: int, steps: Iterable[int] = ()) -> CupRecipe:
+    def __new__(cls, base_dim: int, cup2_count: int = 0, cup1_count: int = 0) -> CupRecipe:
         if base_dim < 2 or base_dim % 2:
             raise ValueError(f"base must be a positive even dimension, got {base_dim}")
-        steps = tuple(steps)
-        if not set(steps) <= {1, 2}:
-            raise ValueError(f"steps must be cup-1 or cup-2, got {steps}")
-        return tuple.__new__(cls, (base_dim, steps))
+        for name, count in (("cup2_count", cup2_count), ("cup1_count", cup1_count)):
+            if type(count) is not int or count < 0:
+                raise ValueError(f"{name} must be a non-negative int, got {count!r}")
+        return tuple.__new__(cls, (base_dim, cup2_count, cup1_count))
 
     @classmethod
     def _make(cls, iterable) -> CupRecipe:
@@ -75,22 +73,10 @@ class CupRecipe(_Recipe):
         return cls(*iterable)
 
     @property
-    def cup2_count(self) -> int:
-        return self.steps.count(2)
-
-    @property
-    def cup1_count(self) -> int:
-        return self.steps.count(1)
-
-    @property
     def intermediate_dims(self) -> tuple[int, ...]:
-        """The dimension after each step: cup-m takes d to 2d + m."""
-        dims = []
-        d = self.base_dim
-        for m in self.steps:
-            d = 2 * d + m
-            dims.append(d)
-        return tuple(dims)
+        """The dimension after each step, cup-2 steps first: cup-m takes d to 2d + m."""
+        steps = chain(repeat(2, self.cup2_count), repeat(1, self.cup1_count))
+        return tuple(accumulate(steps, lambda d, m: 2 * d + m, initial=self.base_dim))[1:]
 
 
 class Justification(NamedTuple):
@@ -123,7 +109,7 @@ def stage_recipe(t: StageTriple) -> CupRecipe:
         raise ValueError("the base stage (1, 0, 0) carries no generator")
     # The first run of n is j = 1 for n = 1 and j = 0 otherwise, and has no cup-2 step.
     cup2 = t.j - 1 if t.n == 1 else t.j
-    return CupRecipe(_base_dim(t.n), (2,) * cup2 + (1,) * t.i)
+    return CupRecipe(_base_dim(t.n), cup2, t.i)
 
 
 def _base_dim(n: int) -> int:
@@ -141,11 +127,11 @@ _CUP_CLOSE = ")"
 def expand(r: CupRecipe) -> str:
     """Render a recipe as its symbolic term, e.g. "P(1,P(2,RP^2))".
 
-    Steps apply innermost first, so the base sits at the centre and the
-    last step is the outermost wrapper.
+    Steps apply innermost first, so the base sits at the centre inside
+    its cup-2 wrappers, and the last cup-1 step is the outermost.
     """
-    opens = [_CUP_OPEN[m] for m in reversed(r.steps)]
-    return "".join([*opens, f"{_PROJECTIVE}{r.base_dim}", _CUP_CLOSE * len(opens)])
+    opens = _CUP_OPEN[1] * r.cup1_count + _CUP_OPEN[2] * r.cup2_count
+    return f"{opens}{_PROJECTIVE}{r.base_dim}{_CUP_CLOSE * (r.cup1_count + r.cup2_count)}"
 
 
 def indecomposable(r: CupRecipe) -> tuple[Justification, ...]:
@@ -153,16 +139,9 @@ def indecomposable(r: CupRecipe) -> tuple[Justification, ...]:
 
     Starts from the even-projective-space axiom, available for every
     recipe since bases are even by construction, and applies one rule
-    per step.  Raises RuleNotApplicableError when a cup-2 step meets an
-    odd dimension, which cannot happen for plan output but can for
-    hand-built recipes.
+    per step to the dimension before it.  Each cup-2 step meets the base
+    or a cup-2 output, both even, so the cup-2 rule always applies.
     """
-    chain = [Justification("base-axiom", r.base_dim)]
-    # each step applies to the dimension before it
-    for m, d in zip(r.steps, (r.base_dim, *r.intermediate_dims)):
-        if m == 2 and d % 2:
-            raise RuleNotApplicableError(
-                f"cup-2 preserves indecomposability only in even dimension, got {d}"
-            )
-        chain.append(Justification("cup-2-even" if m == 2 else "cup-1", d))
-    return tuple(chain)
+    rules = ("cup-2-even",) * r.cup2_count + ("cup-1",) * r.cup1_count
+    dims = (r.base_dim, *r.intermediate_dims)
+    return (Justification("base-axiom", r.base_dim), *map(Justification, rules, dims))

@@ -747,6 +747,13 @@ def test_golden_recipe_13_expand_json(run_cli):
     assert out == (GOLDEN / "recipe_13_expand.json").read_text()
 
 
+def test_golden_recipe_2_expand_json(run_cli):
+    # Both step counts zero: no intermediate dimension, and the base axiom alone.
+    code, out, _ = run_cli("recipe", "2", "--expand", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "recipe_2_expand.json").read_text()
+
+
 def test_golden_decompose_7(run_cli):
     code, out, _ = run_cli("decompose", "7")
     assert code == 2

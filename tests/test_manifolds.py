@@ -9,7 +9,6 @@ from cobfilt.manifolds import (
     _CUP_OPEN,
     CupRecipe,
     Justification,
-    RuleNotApplicableError,
     expand,
     indecomposable,
     plan,
@@ -71,13 +70,8 @@ def test_plan_reaches_its_degree(d):
 def test_plan_applies_cup2_only_to_even_dimensions(d):
     assume(not is_excluded(d))
     r = plan(d)
-    dim = r.base_dim
-    for m in r.steps:
-        if m == 2:
-            assert dim % 2 == 0
-            dim = 2 * dim + 2
-        else:
-            dim = 2 * dim + 1
+    # cup-2 steps come first: they meet the base and the outputs of cup-2 steps
+    assert all(dim % 2 == 0 for dim in (r.base_dim, *r.intermediate_dims)[: r.cup2_count + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -90,22 +84,12 @@ def test_recipe_dimension_base_only():
 
 
 def test_recipe_dimension_folds_both_steps():
-    assert dimension(CupRecipe(2, (2, 1))) == 13
-    assert dimension(CupRecipe(4, (1, 1))) == 19
-
-
-@given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 6))
-def test_recipe_dimension_closed_form(half_base, cup2, cup1):
-    base = 2 * half_base
-    r = CupRecipe(base, (2,) * cup2 + (1,) * cup1)
-    assert (r.cup2_count, r.cup1_count) == (cup2, cup1)
-    after_cup2 = (base + 2) * 2**cup2 - 2
-    assert dimension(r) == (after_cup2 + 1) * 2**cup1 - 1
+    assert dimension(CupRecipe(2, 1, 1)) == 13
+    assert dimension(CupRecipe(4, 0, 2)) == 19
 
 
 def test_intermediate_dims_track_each_step():
-    r = CupRecipe(2, [2, 2, 1])
-    assert r.steps == (2, 2, 1)
+    r = CupRecipe(2, 2, 1)
     assert r.intermediate_dims == (6, 14, 29)
     assert (r.cup2_count, r.cup1_count) == (2, 1)
 
@@ -144,26 +128,33 @@ def test_expand_parse_round_trip(d):
     assume(not is_excluded(d))
     r = plan(d)
     base, wrappers = read_term(expand(r))
-    assert (base, wrappers) == (r.base_dim, r.steps[::-1])
+    assert (base, wrappers) == (r.base_dim, (1,) * r.cup1_count + (2,) * r.cup2_count)
     dim = base
     for m in reversed(wrappers):
         dim = 2 * dim + m
     assert dim == d
 
 
-@given(st.integers(2, 10**4), st.sampled_from([1, 2]))
-def test_cup_wrapping_adds_one_outer_step_to_expand(d, m):
+@given(st.integers(2, 10**4))
+def test_one_more_cup_step_puts_its_text_around_the_term(d):
     assume(not is_excluded(d))
     r = plan(d)
-    # The text around a term that the table walk puts on for one more cup step.
-    assert _CUP_OPEN[m] + expand(r) + _CUP_CLOSE == expand(CupRecipe(r.base_dim, (*r.steps, m)))
+    # The text around a term that the table walk puts on for one more cup step:
+    # cup-1 on every term, cup-2 only on a run's first term, which has no cup-1 step.
+    assert _CUP_OPEN[1] + expand(r) + _CUP_CLOSE == expand(r._replace(cup1_count=r.cup1_count + 1))
+    if r.cup1_count == 0:
+        assert _CUP_OPEN[2] + expand(r) + _CUP_CLOSE == expand(r._replace(cup2_count=r.cup2_count + 1))
 
 
-def test_parse_keeps_hand_built_step_order():
-    r = CupRecipe(2, (1, 2))
-    assert read_term(expand(r)) == (2, (2, 1))
-    assert r.intermediate_dims == (5, 12)
-    assert dimension(r) == 12
+@given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 6))
+def test_recipe_dimension_closed_form(half_base, cup2, cup1):
+    # Every recipe, not only plan output: its chain, its term and its dimension.
+    base = 2 * half_base
+    r = CupRecipe(base, cup2, cup1)
+    assert all(link.dim % 2 == 0 for link in indecomposable(r) if link.rule == "cup-2-even")
+    assert read_term(expand(r)) == (base, (1,) * cup1 + (2,) * cup2)
+    after_cup2 = (base + 2) * 2**cup2 - 2
+    assert dimension(r) == (after_cup2 + 1) * 2**cup1 - 1
 
 
 @pytest.mark.parametrize(
@@ -199,13 +190,6 @@ def test_chain_for_mixed_recipe():
     )
 
 
-def test_hand_built_cup1_first_breaks_the_cup2_rule():
-    # cup-1 leaves dimension 5; the cup-2 rule needs an even input
-    bad = CupRecipe(2, (1, 2))
-    with pytest.raises(RuleNotApplicableError):
-        indecomposable(bad)
-
-
 @given(st.integers(2, 2000))
 def test_every_planned_recipe_has_a_full_chain(d):
     assume(not is_excluded(d))
@@ -224,14 +208,8 @@ def test_odd_base_rejected():
         CupRecipe(3)
 
 
-def test_steps_must_be_cup_one_or_two():
-    for steps in [(3,), (0,), (-1,), (2, 1, 3)]:
-        with pytest.raises(ValueError, match="cup-1 or cup-2"):
-            CupRecipe(2, steps)
-
-
 def test_recipe_stores_only_its_base_and_steps():
-    assert CupRecipe._fields == ("base_dim", "steps")
-    # a list of steps is stored as a tuple, so equal recipes compare and hash equal
-    assert CupRecipe(4, [1, 1]) == plan(19)
-    assert hash(CupRecipe(4, [1, 1])) == hash(plan(19))
+    # its steps as two counts, cup-2 steps first
+    assert CupRecipe._fields == ("base_dim", "cup2_count", "cup1_count")
+    assert CupRecipe(4, 0, 2) == plan(19)
+    assert hash(CupRecipe(4, 0, 2)) == hash(plan(19))

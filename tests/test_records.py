@@ -24,9 +24,10 @@ INVALID = {
         "coefficient in degree 1 exceeds the 64-bit bound",
     ),
     "odd base": (lambda: CupRecipe(3), ValueError, "base must be a positive even dimension, got 3"),
-    "base 0": (lambda: CupRecipe(0, (1,)), ValueError, "base must be a positive even dimension, got 0"),
-    # the steps are stored as a tuple before they are checked, so the message shows a tuple
-    "cup-3": (lambda: CupRecipe(2, [2, 3]), ValueError, "steps must be cup-1 or cup-2, got (2, 3)"),
+    "base 0": (lambda: CupRecipe(0, 0, 1), ValueError, "base must be a positive even dimension, got 0"),
+    "negative count": (lambda: CupRecipe(2, 1, -1), ValueError, "cup1_count must be a non-negative int, got -1"),
+    # a count is an int, not merely equal to one
+    "count not an int": (lambda: CupRecipe(2, 1.0), ValueError, "cup2_count must be a non-negative int, got 1.0"),
     # NamedTuple's _make, and _replace through it, check as the constructor does
     "spec _replace": (
         lambda: AlgebraSpec((2,))._replace(degrees=(5, 0)),
@@ -40,9 +41,9 @@ INVALID = {
     ),
     "series _make": (lambda: TruncatedSeries._make([[]]), ValueError, NO_DEGREE_0),
     "recipe _replace": (
-        lambda: CupRecipe(2)._replace(base_dim=6, steps=(2, 4)),
+        lambda: CupRecipe(2)._replace(base_dim=6, cup2_count=-1),
         ValueError,
-        "steps must be cup-1 or cup-2, got (2, 4)",
+        "cup2_count must be a non-negative int, got -1",
     ),
 }
 
@@ -56,7 +57,7 @@ def test_validating_constructors_keep_their_errors(build, error, message):
 
 
 def test_replace_and_make_store_tuples():
-    assert CupRecipe(2)._replace(steps=[2, 1]).steps == (2, 1)
+    assert CupRecipe(2)._replace(cup2_count=1, cup1_count=1) == CupRecipe(2, 1, 1)
     assert TruncatedSeries._make([[1, 0]]) == TruncatedSeries((1, 0))
     assert AlgebraSpec._make([[3]]) == AlgebraSpec((3,))
 
@@ -65,7 +66,7 @@ def test_replace_and_make_store_tuples():
 EQUAL = {
     "AlgebraSpec": (AlgebraSpec([2, 5]), AlgebraSpec((2, 5))),
     "TruncatedSeries": (TruncatedSeries([1, 0, 1]), TruncatedSeries((1, 0, 1))),
-    "CupRecipe": (CupRecipe(4, [1, 1]), CupRecipe(base_dim=4, steps=(1, 1))),
+    "CupRecipe": (CupRecipe(4, 0, 2), CupRecipe(base_dim=4, cup2_count=0, cup1_count=2)),
     "Justification": (Justification("cup-1", 5), Justification(rule="cup-1", dim=5)),
     "Discrepancy": (Discrepancy(5, 1, 0), Discrepancy(degree=5, expected=1, actual=0)),
     "CheckReport": (CheckReport(series=(1, 0, 1)), CheckReport(None, (1, 0, 1))),
@@ -89,7 +90,7 @@ def test_records_are_frozen(record):
 
 
 def test_a_record_compares_as_the_tuple_of_its_fields():
-    assert CupRecipe(2, (2, 1)) == (2, (2, 1))
+    assert CupRecipe(2, 1, 1) == (2, 1, 1)
     assert TruncatedSeries((1, 1)).coeffs == TruncatedSeries((1, 1))[0] == (1, 1)
     # a tuple underneath, so two record types with equal fields compare equal
     assert AlgebraSpec((2,)) == TruncatedSeries((2,))
@@ -97,7 +98,7 @@ def test_a_record_compares_as_the_tuple_of_its_fields():
 
 def test_record_defaults():
     assert AlgebraSpec() == AlgebraSpec(()) == ((),)
-    assert CupRecipe(2).steps == ()
+    assert CupRecipe(2) == CupRecipe(2, 0, 0) == (2, 0, 0)
     report = CheckReport()
     assert (report.first_discrepancy, report.series, report.passed) == (None, None, True)
 
