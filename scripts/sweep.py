@@ -5,13 +5,13 @@ one sha256 over every argv's exit code, stdout and stderr.
 A family is a command, its check or kind, text or --json, and a range of
 its argument: every verify --check at caps 0..130, 539 and 540; every
 stage of series homotopy|homology, the base stage too, at caps 0..69;
-series steenrod at caps 0..200; recipe d, with and without --expand, for
-d = 0..2999; and table N for N = 0..2000.  Each argv runs in-process
-through cobfilt.cli.main.  A family's digest hashes the sorted digests of
-its argv, so it does not depend on the order they ran in, and a run in
-any order must give it: a call whose bytes depend on the calls before it
-changes the digest.  tests/golden/sweep.json holds every family's digest;
-tests/test_sweep.py compares them.
+series steenrod at caps 0..200; decompose d, and recipe d with and
+without --expand, for d = 0..2999; and table N for N = 0..2000.  Each
+argv runs in-process through cobfilt.cli.main.  A family's digest hashes
+the sorted digests of its argv, so it does not depend on the order they
+ran in, and a run in any order must give it: a call whose bytes depend
+on the calls before it changes the digest.  tests/golden/sweep.json
+holds every family's digest; tests/test_sweep.py compares them.
 
     python scripts/sweep.py
         rewrite tests/golden/sweep.json from the package on the path
@@ -36,7 +36,7 @@ GOLDEN = ROOT / "tests" / "golden" / "sweep.json"
 VERIFY_CAPS = [*range(131), 539, 540]
 SERIES_CAPS = range(70)
 STEENROD_CAPS = range(201)
-RECIPE_DEGREES = range(3000)
+DEGREES = range(3000)
 TABLE_BOUNDS = range(2001)
 
 
@@ -72,8 +72,10 @@ def _families():
     argvs = [["series", "steenrod", "--cap", str(c)] for c in STEENROD_CAPS]
     families["series steenrod"] = argvs
     families["series steenrod --json"] = [[*a, "--json"] for a in argvs]
+    for flags in ([], ["--json"]):
+        families[" ".join(["decompose", *flags])] = [["decompose", str(d), *flags] for d in DEGREES]
     for flags in ([], ["--expand"], ["--json"], ["--expand", "--json"]):
-        families[" ".join(["recipe", *flags])] = [["recipe", str(d), *flags] for d in RECIPE_DEGREES]
+        families[" ".join(["recipe", *flags])] = [["recipe", str(d), *flags] for d in DEGREES]
     argvs = [["table", str(n)] for n in TABLE_BOUNDS]
     families["table"] = argvs
     families["table --json"] = [[*a, "--json"] for a in argvs]

@@ -28,15 +28,12 @@ from .manifolds import (
     Justification,
     expand,
     indecomposable,
-    plan,
+    stage_recipe,
 )
 from .series import (
     U64_MAX,
     AlgebraSpec,
-    NotDivisibleError,
     TruncatedSeries,
-    exact_div,
-    mul,
     series_of,
     simple_system_series,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from itertools import compress, count
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .degrees import BASE, TableEntry, decompose, is_excluded, stages_up_to_degree
 from .series import AlgebraSpec, TruncatedSeries, series_of, simple_system_series
@@ -93,11 +93,12 @@ def _enumerate_triples(bound: int) -> list[tuple[int, tuple[int, int, int]]]:
     return found
 
 
-def _bijection_report(
-    entries: Sequence[tuple[int, tuple[int, int, int]]], bound: int
-) -> CheckReport:
+def verify_bijection(bound: int) -> CheckReport:
+    """Exhaustively enumerate all stages with degree <= bound and check
+    they hit each non-excluded degree in [2, bound] exactly once, with
+    decompose reproducing the enumerated triple."""
     by_degree: dict[int, list[tuple[int, int, int]]] = {}
-    for degree, triple in entries:
+    for degree, triple in _enumerate_triples(bound):
         by_degree.setdefault(degree, []).append(triple)
     for d in range(bound + 1):
         hits = by_degree.get(d, [])
@@ -119,13 +120,6 @@ def _bijection_report(
             Discrepancy(d, "degree within [2, bound]", [list(t) for t in by_degree[d]])
         )
     return CheckReport()
-
-
-def verify_bijection(bound: int) -> CheckReport:
-    """Exhaustively enumerate all stages with degree <= bound and check
-    they hit each non-excluded degree in [2, bound] exactly once, with
-    decompose reproducing the enumerated triple."""
-    return _bijection_report(_enumerate_triples(bound), bound)
 
 
 def _geometric(d: int, cap: int) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ Every command emits one output envelope, as aligned text or as JSON
 with sorted keys, and state flows only through flags.  Exit codes:
 0 success, 1 verification failure, 2 domain error, 64 usage error,
 70 internal error, 74 stdout closed, or a write to it failed, before all
-the output was written.
+the output was written.  A closed stderr loses its text, not the status.
 Commands return before anything is written; table alone makes its rows
 while main writes them, which is safe because it cannot fail once its
 argument parses (see main).
@@ -36,6 +36,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
@@ -176,10 +177,6 @@ def _stage_json(t: StageTriple) -> dict:
     return {"n": t.n, "j": t.j, "i": t.i}
 
 
-def _stage_text(t: StageTriple) -> str:
-    return f"({t.n},{t.j},{t.i})"
-
-
 def _parameters(ns: argparse.Namespace) -> dict:
     """The envelope's parameters: every argument of the command, and the output format."""
     params = {k: v for k, v in vars(ns).items() if k not in ("command", "func", "json")}
@@ -291,7 +288,7 @@ def _cmd_series(ns: argparse.Namespace) -> _Outcome:
     coeffs = list(series.coeffs)
     if ns.json:  # the envelope is built from result alone, the text from lines alone
         return EXIT_OK, {"cap": ns.cap, "coefficients": coeffs}, []
-    stage = "" if ns.what == "steenrod" else f" stage {_stage_text(ns.stage)}"
+    stage = "" if ns.what == "steenrod" else f" stage ({ns.stage.n},{ns.stage.j},{ns.stage.i})"
     return EXIT_OK, {"cap": ns.cap}, [f"{ns.what}{stage} cap {ns.cap}", str(coeffs)]
 
 
@@ -519,9 +516,12 @@ def main(argv: list[str] | None = None) -> int:
         if status == EXIT_INTERNAL:
             import traceback  # here alone: it costs every other call its import time
 
-            traceback.print_exc()
+            # Not print_exc: with stderr None it would print to stdout.
+            with suppress(AttributeError, OSError):  # stderr closed: None, or its write fails
+                sys.stderr.write(traceback.format_exc())
         elif status == EXIT_USAGE and not as_json:  # worded as argparse words a usage error
-            sys.stderr.write(exc.stderr)
+            with suppress(AttributeError, OSError):
+                sys.stderr.write(exc.stderr)
             return status
     if as_json:
         status_word = "ok" if key == "result" else "error"
@@ -529,6 +529,8 @@ def main(argv: list[str] | None = None) -> int:
         pieces, end = _envelope_pieces(envelope), ""
     else:
         pieces, end = lines, "\n"
+    if sys.stdout is None:  # the interpreter started with stdout closed
+        return EXIT_IOERR
     try:
         # table's rows are made here, as they are written; it cannot fail (see above).
         _write(pieces, end)

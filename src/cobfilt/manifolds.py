@@ -90,6 +90,7 @@ class Justification(NamedTuple):
     dim: int
 
 
+# perfbench/spans.py traces it by name; ROADMAP item 14 deletes it.
 def plan(d: int) -> CupRecipe:
     """The recipe reaching generator degree d from its projective base.
 

@@ -81,6 +81,7 @@ class AlgebraSpec(_Spec):
         # NamedTuple's _make, and _replace through it, would skip the check.
         return cls(*iterable)
 
+    # perfbench/spans.py calls it by name; ROADMAP item 14 deletes it.
     def generators_below(self, bound: int) -> tuple[int, ...]:
         """The degrees of all generators of degree <= bound."""
         return tuple(d for d in self.degrees if d <= bound)
@@ -144,6 +145,7 @@ def _unit_list(cap: int) -> list[int]:
     return [1] + [0] * cap
 
 
+# perfbench/spans.py traces it by name; ROADMAP item 14 deletes it.
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Truncated convolution: the series of a tensor product of graded spaces.
 
@@ -163,6 +165,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
+# perfbench/spans.py traces it by name; ROADMAP item 14 deletes it.
 def exact_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """The unique q with mul(q, b) = a, by synthetic division.
 

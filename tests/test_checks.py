@@ -91,23 +91,29 @@ def test_bijection_passes_at_two():
     assert verify_bijection(2).passed
 
 
-def test_bijection_fails_on_injected_duplicate():
-    entries = checks._enumerate_triples(16) + [(6, (9, 9, 9))]
-    report = checks._bijection_report(entries, 16)
+def _enumerate_with(monkeypatch, edit):
+    # The check's own enumeration, passed through edit: the oracle side made wrong.
+    original = checks._enumerate_triples
+    monkeypatch.setattr(checks, "_enumerate_triples", lambda bound: edit(original(bound)))
+
+
+def test_bijection_fails_on_injected_duplicate(monkeypatch):
+    _enumerate_with(monkeypatch, lambda entries: entries + [(6, (9, 9, 9))])
+    report = verify_bijection(16)
     assert not report.passed
     assert report.first_discrepancy.degree == 6
 
 
-def test_bijection_fails_on_missing_degree():
-    entries = [e for e in checks._enumerate_triples(16) if e[0] != 10]
-    report = checks._bijection_report(entries, 16)
+def test_bijection_fails_on_missing_degree(monkeypatch):
+    _enumerate_with(monkeypatch, lambda entries: [e for e in entries if e[0] != 10])
+    report = verify_bijection(16)
     assert not report.passed
     assert report.first_discrepancy.degree == 10
 
 
-def test_bijection_fails_on_stage_for_excluded_degree():
-    entries = checks._enumerate_triples(16) + [(7, (1, 2, 0))]
-    report = checks._bijection_report(entries, 16)
+def test_bijection_fails_on_stage_for_excluded_degree(monkeypatch):
+    _enumerate_with(monkeypatch, lambda entries: entries + [(7, (1, 2, 0))])
+    report = verify_bijection(16)
     assert not report.passed
     assert report.first_discrepancy.degree == 7
 
@@ -119,9 +125,9 @@ def test_bijection_fails_when_decompose_disagrees_with_the_enumeration(monkeypat
     assert report.first_discrepancy == Discrepancy(5, [1, 1, 1], [2, 0, 0])
 
 
-def test_bijection_fails_on_a_stage_above_the_bound():
-    entries = checks._enumerate_triples(16) + [(17, (9, 9, 9))]
-    report = checks._bijection_report(entries, 16)
+def test_bijection_fails_on_a_stage_above_the_bound(monkeypatch):
+    _enumerate_with(monkeypatch, lambda entries: entries + [(17, (9, 9, 9))])
+    report = verify_bijection(16)
     assert report.first_discrepancy == Discrepancy(17, "degree within [2, bound]", [[9, 9, 9]])
 
 

@@ -723,64 +723,37 @@ def test_unexpected_exception_is_internal(run_cli, envelope_validator, monkeypat
 # golden files
 
 
-def test_golden_table_16(run_cli):
-    code, out, _ = run_cli("table", "16")
-    assert code == 0
-    assert out == (GOLDEN / "table_16.txt").read_text()
-
-
-def test_golden_table_16_json(run_cli):
-    code, out, _ = run_cli("table", "16", "--json")
-    assert code == 0
-    assert out == (GOLDEN / "table_16.json").read_text()
-
-
-def test_golden_recipe_13_expand(run_cli):
-    code, out, _ = run_cli("recipe", "13", "--expand")
-    assert code == 0
-    assert out == (GOLDEN / "recipe_13_expand.txt").read_text()
-
-
-def test_golden_recipe_13_expand_json(run_cli):
-    code, out, _ = run_cli("recipe", "13", "--expand", "--json")
-    assert code == 0
-    assert out == (GOLDEN / "recipe_13_expand.json").read_text()
-
-
-def test_golden_recipe_2_expand_json(run_cli):
-    # Both step counts zero: no intermediate dimension, and the base axiom alone.
-    code, out, _ = run_cli("recipe", "2", "--expand", "--json")
-    assert code == 0
-    assert out == (GOLDEN / "recipe_2_expand.json").read_text()
-
-
-def test_golden_decompose_7(run_cli):
-    code, out, _ = run_cli("decompose", "7")
-    assert code == 2
-    assert out == (GOLDEN / "decompose_7.txt").read_text()
-
-
-def test_golden_verify_all_cap_64(run_cli):
-    code, out, _ = run_cli("verify", "--check", "all", "--cap", "64")
-    assert code == 0
-    assert out == (GOLDEN / "verify_all_cap64.txt").read_text()
-
-
-# JSON golden files, each (exit, argv): an error envelope, a long list of
-# ints, and a list of dicts holding the product check's series.
-GOLDEN_JSON = {
-    "decompose_7.json": (2, ("decompose", "7")),
-    "series_homotopy_2_0_1_cap32.json": (0, ("series", "homotopy", "--stage", "2,0,1", "--cap", "32")),
-    "verify_all_cap16.json": (0, ("verify", "--check", "all", "--cap", "16")),
+# Every golden file, its exit code and its argv.  Text and JSON alike: an
+# error envelope, a long list of ints, and a list of dicts holding the
+# product check's series among them.  The test keeps its old name, so the
+# JSON files' test ids stay as they were.
+GOLDEN_FILES = {
+    "decompose_7.txt": (2, ("decompose", "7")),
+    "decompose_7.json": (2, ("decompose", "7", "--json")),
+    "table_16.txt": (0, ("table", "16")),
+    "table_16.json": (0, ("table", "16", "--json")),
+    "recipe_13_expand.txt": (0, ("recipe", "13", "--expand")),
+    "recipe_13_expand.json": (0, ("recipe", "13", "--expand", "--json")),
+    # both step counts zero: no intermediate dimension, and the base axiom alone
+    "recipe_2_expand.json": (0, ("recipe", "2", "--expand", "--json")),
+    "series_homotopy_2_0_1_cap32.json": (
+        0, ("series", "homotopy", "--stage", "2,0,1", "--cap", "32", "--json")
+    ),
+    "verify_all_cap64.txt": (0, ("verify", "--check", "all", "--cap", "64")),
+    "verify_all_cap16.json": (0, ("verify", "--check", "all", "--cap", "16", "--json")),
     # the product series at the top of the u64 range, its last entry 2^64 - 1 or below
-    "verify_product_cap539.json": (0, ("verify", "--check", "product", "--cap", "539")),
+    "verify_product_cap539.json": (0, ("verify", "--check", "product", "--cap", "539", "--json")),
 }
 
 
-@pytest.mark.parametrize("name", GOLDEN_JSON)
+def test_every_golden_file_has_its_argv():
+    assert sorted(GOLDEN_FILES) == sorted(p.name for p in GOLDEN.iterdir() if p.name != "sweep.json")
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
 def test_golden_json(run_cli, name):
-    code, argv = GOLDEN_JSON[name]
-    assert run_cli(*argv, "--json") == (code, (GOLDEN / name).read_text(), "")
+    code, argv = GOLDEN_FILES[name]
+    assert run_cli(*argv) == (code, (GOLDEN / name).read_text(), "")
 
 
 # ---------------------------------------------------------------------------
@@ -1086,6 +1059,51 @@ def test_full_stdout_exits_74_without_a_traceback(argv):
                 timeout=120,
             )
         assert (proc.returncode, proc.stderr) == (74, b""), env.get("PYTHONUNBUFFERED")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("decompose", "5"), ("decompose", "5", "--json"), ("table", "100000"), ("-h",)],
+    ids=" ".join,
+)
+def test_stdout_closed_at_start_exits_74_without_a_traceback(argv):
+    # as in `cobfilt decompose 5 >&-`: the interpreter starts with no stdout at all
+    proc = subprocess.run(
+        [sys.executable, "-m", "cobfilt", *argv],
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(1),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (74, b"")
+
+
+def test_internal_error_with_stderr_closed_keeps_its_traceback_off_stdout(run_cli, monkeypatch):
+    # as in `cobfilt verify 2>&-` meeting a defect: the traceback is lost, not printed on stdout
+    monkeypatch.setitem(cli._CHECK_RUNNERS, "bijection", lambda cap: 1 / 0)
+    monkeypatch.setattr(sys, "stderr", None)
+    code, out, _ = run_cli("verify", "--check", "bijection", "--cap", "8")
+    assert (code, out) == (70, "error INTERNAL: division by zero\n")
+
+
+@pytest.mark.parametrize(
+    "closed",
+    [
+        # as in `cobfilt decompose abc 2>&-`: the interpreter starts with no stderr
+        ({"preexec_fn": lambda: os.close(2)}, ["-m", "cobfilt"]),
+        # a stderr closed once the interpreter runs: its write fails with EBADF
+        ({}, ["-c", "import os, sys; os.close(2); from cobfilt.cli import main; sys.exit(main())"]),
+    ],
+    ids=["at start", "while running"],
+)
+def test_closed_stderr_keeps_the_usage_status(closed):
+    options, command = closed
+    proc = subprocess.run(
+        [sys.executable, *command, "decompose", "abc"],
+        stdout=subprocess.PIPE,
+        timeout=120,
+        **options,
+    )
+    assert (proc.returncode, proc.stdout) == (64, b"")
 
 
 def test_table_piped_into_head_exits_74_without_a_traceback():
