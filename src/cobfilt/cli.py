@@ -4,11 +4,13 @@ models, and verification suite.
 Every command emits one output envelope, as aligned text or as JSON
 with sorted keys, and state flows only through flags.  Exit codes:
 0 success, 1 verification failure, 2 domain error, 64 usage error,
-70 internal error, 74 stdout closed, or a write to it failed, before all
-the output was written.  A closed stderr loses its text, not the status.
-Commands return before anything is written; table alone makes its rows
-while main writes them, which is safe because it cannot fail once its
-argument parses (see main).
+70 internal error, 74 stdout closed (at start: once the argv parses and
+passes the cap limits, before the command runs), or a write to it failed,
+before all the output was written.  A closed stderr loses its text, not
+the status.  Each command builds only the form main prints: its result
+under --json, else its text lines.  Commands return before anything is
+written; table alone makes its rows while main writes them, which is safe
+because it cannot fail once its argument parses (see main).
 Every error code comes from one table, _ERRORS, which main reads:
 EXCLUDED_DEGREE, COEFFICIENT_OVERFLOW and CAP_LIMIT (2), MISSING_STAGE
 and USAGE (64), and INTERNAL (70, with the traceback on stderr).  main
@@ -18,7 +20,8 @@ usage on stderr, or, when the argv starts with a command and holds
 Options must be spelled out in full: no parser accepts a prefix such
 as --js, so a literal --json is the only way to ask for an envelope.
 An argv that starts with a command is read by _read, from that
-command's own parser's actions, when each token after the command is an
+command's own parser's actions and its defaults and positionals, which
+_PLANS reads once at import, when each token after the command is an
 exact option string, an option's value or a positional, and each value
 passes its type and choices.  _PARSER, argparse, parses every other
 argv (-h, --, --cap=5, a value starting with -, a bad, missing or
@@ -69,7 +72,8 @@ EXIT_IOERR = 74
 
 DEFAULT_CAP = 64
 
-# What a command returns: exit status, the envelope's result, the text lines.
+# What a command returns: exit status, the envelope's result, the text lines;
+# it builds only the one main prints, the result under --json, and leaves the other empty.
 # The lines, and a result's "rows" when it is the result's last key, may be
 # iterators that main consumes as it writes.
 _Outcome = tuple[int, dict, Iterable[str]]
@@ -192,7 +196,9 @@ def _degree_line(d: int, t: StageTriple) -> str:
 
 def _cmd_decompose(ns: argparse.Namespace) -> _Outcome:
     t = decompose(ns.degree)
-    return EXIT_OK, {**_stage_json(t), "recomposed": compose(t)}, [_degree_line(ns.degree, t)]
+    if ns.json:
+        return EXIT_OK, {**_stage_json(t), "recomposed": compose(t)}, []
+    return EXIT_OK, {}, [_degree_line(ns.degree, t)]
 
 
 def _cmd_recipe(ns: argparse.Namespace) -> _Outcome:
@@ -200,34 +206,33 @@ def _cmd_recipe(ns: argparse.Namespace) -> _Outcome:
     recipe = stage_recipe(t)
     dims = recipe.intermediate_dims
     chain = indecomposable(recipe)
-    result = {
-        "degree": ns.degree,
-        "stage": _stage_json(t),
-        "base_dim": recipe.base_dim,
-        "cup2_count": recipe.cup2_count,
-        "cup1_count": recipe.cup1_count,
-        "intermediate_dims": list(dims),
-        "justification": [{"rule": step.rule, "dim": step.dim} for step in chain],
-    }
-    lines = [
+    if ns.json:
+        result = {
+            "degree": ns.degree,
+            "stage": _stage_json(t),
+            "base_dim": recipe.base_dim,
+            "cup2_count": recipe.cup2_count,
+            "cup1_count": recipe.cup1_count,
+            "intermediate_dims": list(dims),
+            "justification": [{"rule": step.rule, "dim": step.dim} for step in chain],
+        }
+        return EXIT_OK, {**result, "term": expand(recipe)} if ns.expand else result, []
+    return EXIT_OK, {}, [
         _degree_line(ns.degree, t),
         f"base {_PROJECTIVE}{recipe.base_dim}, cup-2 steps {recipe.cup2_count}, "
         f"cup-1 steps {recipe.cup1_count}",
         "dimensions " + " -> ".join(map(str, (recipe.base_dim, *dims))),
+        *([f"term {expand(recipe)}"] if ns.expand else []),
+        "chain " + " -> ".join(f"{s.rule}({s.dim})" for s in chain),
     ]
-    if ns.expand:
-        result["term"] = expand(recipe)
-        lines.append(f"term {result['term']}")
-    lines.append("chain " + " -> ".join(f"{s.rule}({s.dim})" for s in chain))
-    return EXIT_OK, result, lines
 
 
 def _cmd_table(ns: argparse.Namespace) -> _Outcome:
     # Lazy: main writes the rows as they are made (see its docstring).
     rows = _table_rows(ns.max_degree, ns.json)
-    if ns.json:  # the envelope is built from result alone, the text from lines alone
+    if ns.json:
         return EXIT_OK, {"max_degree": ns.max_degree, "rows": rows}, []
-    return EXIT_OK, {"max_degree": ns.max_degree}, rows
+    return EXIT_OK, {}, rows
 
 
 def _table_rows(max_degree: int, as_json: bool) -> Iterator[str]:
@@ -286,10 +291,10 @@ def _cmd_series(ns: argparse.Namespace) -> _Outcome:
         fn = adams_homotopy_series if ns.what == "homotopy" else thom_homology_series
         series = fn(ns.stage, ns.cap)
     coeffs = list(series.coeffs)
-    if ns.json:  # the envelope is built from result alone, the text from lines alone
+    if ns.json:
         return EXIT_OK, {"cap": ns.cap, "coefficients": coeffs}, []
     stage = "" if ns.what == "steenrod" else f" stage ({ns.stage.n},{ns.stage.j},{ns.stage.i})"
-    return EXIT_OK, {"cap": ns.cap}, [f"{ns.what}{stage} cap {ns.cap}", str(coeffs)]
+    return EXIT_OK, {}, [f"{ns.what}{stage} cap {ns.cap}", str(coeffs)]
 
 
 _CHECK_RUNNERS: dict[str, Callable[[int], CheckReport]] = {
@@ -302,27 +307,27 @@ _CHECK_RUNNERS: dict[str, Callable[[int], CheckReport]] = {
 
 def _cmd_verify(ns: argparse.Namespace) -> _Outcome:
     names = list(_CHECK_RUNNERS) if ns.check == "all" else [ns.check]
-    payload = []
+    reports = {name: _CHECK_RUNNERS[name](ns.cap) for name in names}
+    failures = sum(not report.passed for report in reports.values())
+    exit_status = EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+    # The witness is a dict in field order, in the text and the JSON alike.
+    if ns.json:
+        checks = [
+            {"check": name, "bound": ns.cap, "status": "pass" if r.passed else "fail",
+             "first_discrepancy": None if r.passed else r.first_discrepancy._asdict()}
+            | ({} if r.series is None else {"series": list(r.series)})
+            for name, r in reports.items()
+        ]
+        return exit_status, {"cap": ns.cap, "checks": checks, "all_passed": failures == 0}, []
     lines = []
-    failures = 0
-    for name in names:
-        report = _CHECK_RUNNERS[name](ns.cap)
-        status = "pass" if report.passed else "fail"
-        # The witness as a dict in field order: the same dict in the text and the JSON.
-        witness = None if report.passed else report.first_discrepancy._asdict()
-        entry = {"check": name, "bound": ns.cap, "status": status, "first_discrepancy": witness}
-        lines.append(f"{name}: {status} (cap {ns.cap})")
-        if report.series is not None:
-            entry["series"] = list(report.series)
-            lines.append(f"{name} series: {entry['series']}")
-        if witness is not None:
-            failures += 1
-            lines.append(f"  first discrepancy: {witness}")
-        payload.append(entry)
-    all_passed = failures == 0
-    lines.append("result: all checks passed" if all_passed else f"result: {failures} check(s) failed")
-    result = {"cap": ns.cap, "checks": payload, "all_passed": all_passed}
-    return (EXIT_OK if all_passed else EXIT_CHECK_FAILED), result, lines
+    for name, r in reports.items():
+        lines.append(f"{name}: {'pass' if r.passed else 'fail'} (cap {ns.cap})")
+        if r.series is not None:
+            lines.append(f"{name} series: {list(r.series)}")
+        if not r.passed:
+            lines.append(f"  first discrepancy: {r.first_discrepancy._asdict()}")
+    lines.append("result: all checks passed" if failures == 0 else f"result: {failures} check(s) failed")
+    return exit_status, {}, lines
 
 
 # Built once: parse_args keeps no state on the parser between calls.
@@ -370,9 +375,19 @@ _COMMANDS: dict[str, argparse.ArgumentParser] = _sub.choices
 del _sub, _p
 
 
+# What _read starts from, per command parser, read once: the defaults in parse_args's
+# order (the actions', then func; no two actions share a dest), and the positionals.
+_PLANS = {
+    p: ({**{a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS}, **p._defaults},
+        p._get_positional_actions())
+    for p in _COMMANDS.values()
+}
+
+
 def _read(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
     """parser.parse_args(argv)'s Namespace, for an argv it parses, read
-    from the parser's own actions and defaults.
+    from the parser's own actions and from its row of _PLANS, the defaults
+    and positionals read once at import.
 
     A token equal to an option string sets a flag or takes the next token
     as its value; any other token fills the next positional; each value
@@ -382,14 +397,11 @@ def _read(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespac
     prefix), a value starting with -, a bad value, a positional missing or
     left over.  Any other kind of action also gives None.
     """
+    defaults, positionals = _PLANS[parser]
     ns = argparse.Namespace()
     values = vars(ns)
-    for action in parser._actions:  # defaults in argparse's order: the actions, then func
-        if action.default is not argparse.SUPPRESS:
-            values.setdefault(action.dest, action.default)
-    for dest, default in parser._defaults.items():
-        values.setdefault(dest, default)
-    positionals = iter(parser._get_positional_actions())
+    values.update(defaults)  # a copy: a caller may change its Namespace
+    positionals = iter(positionals)
     tokens = iter(argv)
     for token in tokens:
         if token[:1] == "-":
@@ -415,24 +427,29 @@ def _read(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespac
 def _dumps(value: Any, pad: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) byte for byte, each line
     after the first opened by pad, without the stdlib's pure-Python encoder:
-    the C encoder ignores indent before Python 3.13."""
+    the C encoder ignores indent before Python 3.13.  A dict's str and int
+    values are written inline, and an all-int list or tuple as one repr."""
     kind = type(value)
     if kind is str:
         return _quote(value)
     if kind is int:
         return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
     inner = pad + "  "
     if kind is dict and value and all(type(k) is str for k in value):
-        items = [f"{_quote(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
+        items = []
+        for k in sorted(value):
+            v = value[k]
+            v = _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _dumps(v, inner)
+            items.append(f"{_quote(k)}: {v}")
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if (kind is list or kind is tuple) and value:  # json renders a tuple as a list
-        if set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
-        else:
-            items = [_dumps(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    # The rest as json renders it: a bool, None, a float, an empty container, a
-    # dict with a key that is not a str; a set still raises TypeError.
+        if set(map(type, value)) == {int}:  # ints hold no ", "
+            return "[" + inner + repr(list(value))[1:-1].replace(", ", "," + inner) + pad + "]"
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + pad + "]"
+    # The rest as json renders it: a float, an empty container, a dict with a
+    # key that is not a str; a set still raises TypeError.
     if isinstance(value, (dict, list, tuple)):
         return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
     return json.dumps(value)
@@ -504,6 +521,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise OverflowError(f"coefficient in degree {limit + 1} exceeds the 64-bit bound")
             name = f"verify --check {kind}" if command == "verify" else f"{command} {kind}"
             raise _CapLimit(f"cap {ns.cap} is above {limit}, the work limit of {name}")
+        if sys.stdout is None:  # closed at start: no command's output could be written
+            return EXIT_IOERR
         status, result, lines = ns.func(ns)
         key, value = "result", result
     except _Help as exc:  # as text, whatever else the argv holds
@@ -529,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         pieces, end = _envelope_pieces(envelope), ""
     else:
         pieces, end = lines, "\n"
-    if sys.stdout is None:  # the interpreter started with stdout closed
+    if sys.stdout is None:  # closed at start: -h, or a refusal before the command ran
         return EXIT_IOERR
     try:
         # table's rows are made here, as they are written; it cannot fail (see above).

@@ -756,6 +756,20 @@ def test_golden_json(run_cli, name):
     assert run_cli(*argv) == (code, (GOLDEN / name).read_text(), "")
 
 
+# A command builds only the form main prints: under --json a helper only the text
+# uses may fail, and in text mode one only the envelope uses, without changing a byte.
+@pytest.mark.parametrize(
+    "fmt, unused", [(("--json",), "_degree_line"), ((), "_stage_json")], ids=["json", "text"]
+)
+def test_a_command_builds_only_the_form_it_prints(run_cli, monkeypatch, fmt, unused):
+    recipe = (GOLDEN / ("recipe_13_expand.json" if fmt else "recipe_13_expand.txt")).read_text()
+    decomposed = run_cli("decompose", "123457", *fmt)
+    assert decomposed[0] == 0
+    monkeypatch.setattr(cli, unused, lambda *args: 1 / 0)
+    assert run_cli("recipe", "13", "--expand", *fmt) == (0, recipe, "")
+    assert run_cli("decompose", "123457", *fmt) == decomposed
+
+
 # ---------------------------------------------------------------------------
 # envelope schema and determinism
 
@@ -967,6 +981,28 @@ def test_the_reader_needs_no_more_of_argparse():
             assert not action.required or not action.option_strings
 
 
+def test_the_reader_table_carries_nothing_between_calls():
+    # _PLANS is read once at import: a Namespace _read returns is the caller's own
+    series = cli._COMMANDS["series"]
+    cli._read(series, ["homotopy", "--stage", "1,1,0", "--cap", "8"]).cap = 0
+    assert cli._read(series, ["steenrod"]).cap == cli.DEFAULT_CAP == 64
+
+
+@pytest.mark.parametrize(
+    "argv", [("decompose", "5"), ("recipe", "5"), ("table", "5"), ("series", "steenrod"), ("verify",)],
+    ids=" ".join,
+)
+def test_the_reader_table_keeps_the_defaults_in_argparse_order(argv):
+    parser = cli._COMMANDS[argv[0]]
+    defaults, positionals = cli._PLANS[parser]
+    parsed = vars(parser.parse_args(argv[1:]))
+    assert list(defaults) == list(parsed)
+    filled = {action.dest for action in positionals}
+    assert [(k, v) for k, v in defaults.items() if k not in filled] == [
+        (k, v) for k, v in parsed.items() if k not in filled
+    ]
+
+
 # Every argv shape that perfbench/workloads.py and the README send.
 READER_ARGV = [
     ("decompose", "123457", "--json"),
@@ -1075,6 +1111,15 @@ def test_stdout_closed_at_start_exits_74_without_a_traceback(argv):
         timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (74, b"")
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_stdout_closed_at_start_runs_no_command(monkeypatch, fmt):
+    # as in `cobfilt verify --check bijection >&-`: its output could not be written, so no check runs
+    ran = []
+    monkeypatch.setitem(cli._CHECK_RUNNERS, "bijection", ran.append)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert (cli.main(["verify", "--check", "bijection", "--cap", "8", *fmt]), ran) == (74, [])
 
 
 def test_internal_error_with_stderr_closed_keeps_its_traceback_off_stdout(run_cli, monkeypatch):
