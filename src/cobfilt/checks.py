@@ -4,14 +4,16 @@ Every oracle here recomputes its target by a route the checked code
 never takes: exhaustive nested-loop enumeration of stage triples
 instead of valuation arithmetic, the Euler transform of the partition
 recurrence (partition_dp) and a stage-by-stage product of closed forms
-on one coefficient list (_times_closed_form) against the stride kernel
+on one packed integer (_times_closed_form) against the stride kernel
 of series_of, and a backward difference that multiplies each stage by
 1 - t^d back to the stage before it, which series_of extends by one
 forward running sum to build the stage.  Every single factor
 1/(1 - t^d) is a closed form, 1 in each degree divisible by d: the
 stagewise route adds the previous product once per multiple of d, and
 the simple-system check compares a plain 0/1 tuple (_geometric), so
-series_of serves the product route alone.  No check calls the general
+series_of serves the product route alone.  The stagewise product packs
+a 128-bit slot per degree into one int (Kronecker substitution), so each
+shifted copy is one C-level shift and add.  No check calls the general
 kernels: mul and exact_div stay in the series module as references for
 the tests.  A pass means independent computations agree coefficient by
 coefficient.  A report carries only its finding; the CLI names it.
@@ -20,6 +22,8 @@ coefficient.  A report carries only its finding; the CLI names it.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from itertools import compress, count
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -128,15 +132,13 @@ def _geometric(d: int, cap: int) -> tuple[int, ...]:
     return (((1,) + (0,) * (d - 1)) * (cap // d + 1))[: cap + 1]
 
 
-def _times_closed_form(product: list[int], d: int) -> list[int]:
-    # The product times 1/(1 - t^d): a copy of it plus the product shifted by
-    # each multiple of d up to the cap, each shift read from the product
-    # before this factor, never from the list being built.
-    out = product[:]
-    for u in range(d, len(product), d):
-        # map stops at out[u:], the shorter input: the product truncates there.
-        out[u:] = map(operator.add, out[u:], product)
-    return out
+def _times_closed_form(product: int, d: int, cap: int) -> int:
+    # The product, 128 bits per degree, times 1/(1 - t^d): itself plus itself
+    # shifted by each multiple of d up to the cap, then cut at the cap.
+    out = product
+    for u in range(d, cap + 1, d):
+        out += product << 128 * u
+    return out & ((1 << 128 * (cap + 1)) - 1)
 
 
 def _first_mismatch(expected: tuple[int, ...], actual: tuple[int, ...]) -> int | None:
@@ -155,17 +157,27 @@ def verify_main_theorem(cap: int) -> CheckReport:
     partition-counting oracle on the same degree set, and the stage-by-
     stage cumulative product in stage order.  Each runs its own kernel:
     running sums in series_of, the Euler transform in partition_dp, and
-    for the stagewise route, on one coefficient list, the product of the
-    stages before times each closed-form factor 1/(1 - t^d), checked as
-    one series at the end.
+    for the stagewise route, on one int with a 128-bit slot per degree,
+    the product of the stages before times each closed-form factor
+    1/(1 - t^d), checked as one series at the end.  Each factor is 1
+    plus nonnegative terms, so no slot decreases: those below the lowest
+    count over 2^64 stay under it and carry nothing up, and that count
+    gains under cap 2^64 per stage, so it stays exact below 2^128 for
+    any cap under 2^32.  A 64-bit slot could carry into the next unseen.
     """
     gens = [d for d in range(2, cap + 1) if not is_excluded(d)]
     via_product = series_of(AlgebraSpec(gens), cap)
     via_dp = partition_dp(gens, cap)
-    product = [1] + [0] * cap
+    product = 1
     for entry in stages_up_to_degree(cap):
-        product = _times_closed_form(product, entry.degree)
-    stagewise = TruncatedSeries(product)
+        product = _times_closed_form(product, entry.degree, cap)
+    words = array("Q", product.to_bytes(16 * (cap + 1), sys.byteorder))
+    if sys.byteorder == "big":
+        words.reverse()
+    low, high = words[::2], words[1::2]
+    if any(high):  # the full counts, so the series names the lowest degree past 2^64
+        low = map(operator.or_, low, [h << 64 for h in high])
+    stagewise = TruncatedSeries(low)
     for name, candidate in (("product", via_product), ("stagewise", stagewise)):
         t = _first_mismatch(via_dp.coeffs, candidate.coeffs)
         if t is not None:

@@ -126,7 +126,7 @@ _CAP_LIMITS: dict[tuple[str, str], tuple[int, type[Exception]]] = {
     # alike, and checks its series once they are done: about 5 s at this cap.
     ("series", "homology"): (8000, _CapLimit),
     ("series", "homotopy"): (8000, _CapLimit),
-    # Its time grows as cap^2: about 3.3 s at this cap.
+    # Its time grows as cap^2: about 1.3 s at this cap.
     ("verify", "simple-system"): (4000, _CapLimit),
     # Its time and memory grow linearly: about 5 s and 314 MiB at this cap.
     ("verify", "bijection"): (1_000_000, _CapLimit),
@@ -456,18 +456,15 @@ def _dumps(value: Any, pad: str = "\n") -> str:
 
 
 def _envelope_pieces(envelope: dict) -> Iterator[str]:
-    """_dumps(envelope) and a newline, in pieces.
+    """_dumps(envelope) and a newline, in pieces, for a result whose "rows"
+    is an iterator of items already rendered at their depth, as table's is.
 
-    A result whose "rows" is an iterator of items already rendered at
-    their depth, as table's is, streams: rows is the result's last key
-    and "status" the only key after the result, so the envelope dumped
-    with no rows ends in the rows' "[]", and the items go between its
-    brackets as they come.
+    rows is the result's last key and "status" the only key after the
+    result, so the envelope dumped with no rows ends in the rows' "[]",
+    and the items go between its brackets as they come.  main writes
+    every other envelope in one piece.
     """
-    rows = envelope.get("result", {}).get("rows")
-    if not isinstance(rows, Iterator):
-        yield _dumps(envelope) + "\n"
-        return
+    rows = envelope["result"]["rows"]
     envelope["result"]["rows"] = []
     head, _, tail = _dumps(envelope).rpartition("[]")
     first = next(rows, None)
@@ -509,7 +506,8 @@ def main(argv: list[str] | None = None) -> int:
         if ns is None:  # argparse parses what _read refuses, to word the error or print help
             ns = _PARSER.parse_args(argv)
             command = ns.command
-        as_json, parameters = ns.json, _parameters(ns)
+        # Only the envelope prints the parameters; error envelopes keep them.
+        as_json, parameters = ns.json, _parameters(ns) if ns.json else {}
         # Refused before any work: a series without its stage, then a cap above its limit.
         kind = getattr(ns, "check", getattr(ns, "what", None))
         if kind in ("homotopy", "homology") and ns.stage is None:
@@ -545,14 +543,17 @@ def main(argv: list[str] | None = None) -> int:
     if as_json:
         status_word = "ok" if key == "result" else "error"
         envelope = {"command": command, "parameters": parameters, "status": status_word, key: value}
-        pieces, end = _envelope_pieces(envelope), ""
-    else:
-        pieces, end = lines, "\n"
     if sys.stdout is None:  # closed at start: -h, or a refusal before the command ran
         return EXIT_IOERR
     try:
         # table's rows are made here, as they are written; it cannot fail (see above).
-        _write(pieces, end)
+        if not as_json:
+            _write(lines, "\n")
+        elif isinstance(value.get("rows"), Iterator):
+            _write(_envelope_pieces(envelope), "")
+        else:
+            sys.stdout.write(_dumps(envelope) + "\n")
+            sys.stdout.flush()
     except OSError:  # a closed pipe, as in `cobfilt table 100000 | head -1`, or a full disk
         # Point stdout at devnull so the interpreter's flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

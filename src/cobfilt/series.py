@@ -28,10 +28,11 @@ Coefficients are plain Python integers validated against the unsigned
 64-bit bound at construction, in two C-level passes: their types, then
 their range, by packing them as array("Q").  So a count that outgrows
 the fixed-width contract raises OverflowError instead of silently
-corrupting a table.  A series is its coefficient tuple, and its cap is
-the top degree len(coeffs) - 1.  Every function that builds a series
-from nothing takes the cap as an explicit argument; there is no global
-precision.
+corrupting a table.  series_of and simple_system_series only sum plain
+ints, so their constructor, _summed, checks the range alone.  A series
+is its coefficient tuple, and its cap is the top degree len(coeffs) - 1.
+Every function that builds a series from nothing takes the cap as an
+explicit argument; there is no global precision.
 
 >>> series_of(AlgebraSpec((2, 5)), cap=7).coeffs
 (1, 0, 1, 0, 1, 1, 1, 1)
@@ -138,6 +139,14 @@ def _fits_u64(coeffs: tuple[int, ...]) -> bool:
     return True
 
 
+def _summed(coeffs: Iterable[int]) -> TruncatedSeries:
+    # No type can be wrong; TruncatedSeries names the lowest fault in range.
+    coeffs = tuple(coeffs)
+    if not _fits_u64(coeffs):
+        return TruncatedSeries(coeffs)
+    return tuple.__new__(TruncatedSeries, (coeffs,))
+
+
 def _unit_list(cap: int) -> list[int]:
     # The unit series' coefficients, and the cap guard of every builder here.
     if cap < 0:
@@ -218,7 +227,7 @@ def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
     _times_geometric(coeffs, degrees[done:])
     built = tuple(coeffs)
     _last = (degrees, built)
-    return TruncatedSeries(built)
+    return _summed(built)
 
 
 def simple_system_series(d: int, cap: int) -> TruncatedSeries:
@@ -227,18 +236,19 @@ def simple_system_series(d: int, cap: int) -> TruncatedSeries:
     Binary expansion makes this equal to the polynomial series on one
     degree-d generator, but it is computed here as a genuine product of
     (1 + t^(d 2^a)) factors so the identity stays an honest cross-check.
-    Each factor 1 + t^e is one slice pass, coeffs[e:] plus coeffs[:-e],
-    whose right-hand side is copied before the assignment, so every sum
-    reads coefficients the factor has not touched yet.
+    Each factor 1 + t^e is one slice pass, coeffs[e:] plus coeffs, cut
+    by map at the shorter coeffs[e:]: slice assignment builds its whole
+    right-hand side before it writes, so every sum reads coefficients
+    the factor has not touched yet.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     coeffs = _unit_list(cap)
     e = d
     while e <= cap:
-        coeffs[e:] = map(operator.add, coeffs[e:], coeffs[:-e])
+        coeffs[e:] = map(operator.add, coeffs[e:], coeffs)
         e *= 2
-    return TruncatedSeries(tuple(coeffs))
+    return _summed(coeffs)
 
 
 def _times_geometric(coeffs: list[int], degrees: tuple[int, ...]) -> None:

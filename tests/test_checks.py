@@ -13,7 +13,7 @@ from cobfilt.checks import (
     verify_quotient_steps,
     verify_simple_systems,
 )
-from cobfilt.degrees import StageTriple, stages_up_to_degree
+from cobfilt.degrees import StageTriple, TableEntry, stages_up_to_degree
 from cobfilt.series import AlgebraSpec, TruncatedSeries, mul, series_of
 
 
@@ -187,16 +187,44 @@ def test_main_theorem_detects_a_wrong_stagewise_convolution(monkeypatch):
     # the stagewise route must be able to fail on its own, with the other two agreeing
     original = checks._times_closed_form
 
-    def corrupted(product, d):
-        out = original(product, d)
-        out[5] += 1
-        return out
+    def corrupted(product, d, cap):
+        # one more in degree 5, the product's 128-bit slot 5
+        return original(product, d, cap) + (1 << 128 * 5)
 
     monkeypatch.setattr(checks, "_times_closed_form", corrupted)
     report = verify_main_theorem(8)
     assert not report.passed
     # the true count 1, plus one extra from each of the five stage products up to degree 8
     assert report.first_discrepancy == Discrepancy(5, 1, {"stagewise": 6})
+
+
+@pytest.fixture
+def extra_stage(monkeypatch):
+    # One more stage in the table the stagewise route walks, of the given degree:
+    # its product then counts more than the other two routes in that degree and up.
+    original = checks.stages_up_to_degree
+
+    def install(degree):
+        extra = (TableEntry(degree, StageTriple(1, 0, 0)),)
+        monkeypatch.setattr(checks, "stages_up_to_degree", lambda bound: original(bound) + extra)
+
+    return install
+
+
+@pytest.mark.parametrize("degree, cap, overflow", [(2, 539, 495), (2, 495, 495), (5, 539, 511)])
+def test_main_theorem_names_the_lowest_stagewise_overflow(extra_stage, degree, cap, overflow):
+    # the degree a coefficient list names: a carry out of a too-narrow slot would
+    # hide the overflow, or move it to another degree
+    extra_stage(degree)
+    message = f"coefficient in degree {overflow} exceeds the 64-bit bound"
+    with pytest.raises(OverflowError, match=f"^{message}$"):
+        verify_main_theorem(cap)
+
+
+@pytest.mark.parametrize("cap", [300, 480, 494])
+def test_main_theorem_reports_an_extra_stage_below_the_overflow(extra_stage, cap):
+    extra_stage(2)
+    assert verify_main_theorem(cap).first_discrepancy == Discrepancy(2, 1, {"stagewise": 2})
 
 
 def closed_form(d, cap):
@@ -226,20 +254,27 @@ def test_main_theorem_stagewise_route_matches_a_chain_of_mul(monkeypatch, cap):
 
 
 def count_series_built(monkeypatch):
+    # every series built: by the public constructor, and by the series
+    # module's own sums, which build theirs without it
     built = []
-    original = TruncatedSeries.__new__
+    original, summed = TruncatedSeries.__new__, cobfilt.series._summed
 
     def counted(cls, coeffs):
         built.append(coeffs)
         return original(cls, coeffs)
 
+    def counted_sum(coeffs):
+        built.append(coeffs)
+        return summed(coeffs)
+
     monkeypatch.setattr(TruncatedSeries, "__new__", counted)
+    monkeypatch.setattr(cobfilt.series, "_summed", counted_sum)
     return built
 
 
 @pytest.mark.parametrize("cap", [16, 128])
 def test_main_theorem_builds_one_series_per_route(monkeypatch, cap):
-    # the stagewise route multiplies its closed forms on one list, checked once at the end
+    # the stagewise route multiplies its closed forms on one integer, checked once at the end
     built = count_series_built(monkeypatch)
     assert verify_main_theorem(cap).passed
     assert len(built) == 3

@@ -418,10 +418,8 @@ def wrong_stagewise_convolution(monkeypatch):
     # the defect of test_main_theorem_detects_a_wrong_stagewise_convolution
     original = checks._times_closed_form
 
-    def corrupted(product, d):
-        out = original(product, d)
-        out[5] += 1
-        return out
+    def corrupted(product, d, cap):
+        return original(product, d, cap) + (1 << 128 * 5)
 
     monkeypatch.setattr(checks, "_times_closed_form", corrupted)
 
@@ -768,6 +766,17 @@ def test_a_command_builds_only_the_form_it_prints(run_cli, monkeypatch, fmt, unu
     monkeypatch.setattr(cli, unused, lambda *args: 1 / 0)
     assert run_cli("recipe", "13", "--expand", *fmt) == (0, recipe, "")
     assert run_cli("decompose", "123457", *fmt) == decomposed
+
+
+# main builds only what it writes: the envelope's parameters under --json alone,
+# and the envelope in pieces for table's streamed rows alone.
+@pytest.mark.parametrize(
+    "fmt, unused", [(("--json",), "_envelope_pieces"), ((), "_parameters")], ids=["json", "text"]
+)
+def test_main_builds_only_what_it_writes(run_cli, monkeypatch, fmt, unused):
+    recipe = (GOLDEN / ("recipe_13_expand.json" if fmt else "recipe_13_expand.txt")).read_text()
+    monkeypatch.setattr(cli, unused, lambda *args: 1 / 0)
+    assert run_cli("recipe", "13", "--expand", *fmt) == (0, recipe, "")
 
 
 # ---------------------------------------------------------------------------
