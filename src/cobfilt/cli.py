@@ -126,7 +126,7 @@ _CAP_LIMITS: dict[tuple[str, str], tuple[int, type[Exception]]] = {
     # alike, and checks its series once they are done: about 5 s at this cap.
     ("series", "homology"): (8000, _CapLimit),
     ("series", "homotopy"): (8000, _CapLimit),
-    # Its time grows as cap^2: about 1.3 s at this cap.
+    # Its time grows as cap^2: about 0.5 s at this cap.
     ("verify", "simple-system"): (4000, _CapLimit),
     # Its time and memory grow linearly: about 5 s and 314 MiB at this cap.
     ("verify", "bijection"): (1_000_000, _CapLimit),

@@ -16,7 +16,9 @@ stage that overflows too.  Every stage series is one series_of call: no
 stride kernel divides, because the Adams spectral sequence of a stage
 collapses, so its homotopy is the series of its own polynomial algebra,
 with no A_* factor to divide out.
-A height-1 factor 1 + t^e is one slice pass (simple_system_series).
+simple_system_series holds its product as one int with a 64-bit slot
+per degree (Kronecker substitution), so each height-1 factor 1 + t^e is
+one C-level shift and add, and unpacks it once.
 The general kernels mul and exact_div are no check's route (see checks):
 they are plain references for the tests.  Both take arbitrary operands
 and share no code with the stride kernels; each makes one slice pass
@@ -28,8 +30,9 @@ Coefficients are plain Python integers validated against the unsigned
 64-bit bound at construction, in two C-level passes: their types, then
 their range, by packing them as array("Q").  So a count that outgrows
 the fixed-width contract raises OverflowError instead of silently
-corrupting a table.  series_of and simple_system_series only sum plain
-ints, so their constructor, _summed, checks the range alone.  A series
+corrupting a table.  series_of only sums plain ints, so its
+constructor, _summed, checks the range alone; simple_system_series hands
+it array("Q") words, in range by type, which it does not check.  A series
 is its coefficient tuple, and its cap is the top degree len(coeffs) - 1.
 Every function that builds a series from nothing takes the cap as an
 explicit argument; there is no global precision.
@@ -41,6 +44,7 @@ explicit argument; there is no global precision.
 from __future__ import annotations
 
 import operator
+import sys
 from array import array
 from itertools import repeat
 from typing import Iterable, NamedTuple
@@ -141,17 +145,28 @@ def _fits_u64(coeffs: tuple[int, ...]) -> bool:
 
 def _summed(coeffs: Iterable[int]) -> TruncatedSeries:
     # No type can be wrong; TruncatedSeries names the lowest fault in range.
+    # Words of an array("Q") are in range by type, so they skip the re-pack.
+    if isinstance(coeffs, array) and coeffs.typecode == "Q":
+        return tuple.__new__(TruncatedSeries, (tuple(coeffs),))
     coeffs = tuple(coeffs)
     if not _fits_u64(coeffs):
         return TruncatedSeries(coeffs)
     return tuple.__new__(TruncatedSeries, (coeffs,))
 
 
-def _unit_list(cap: int) -> list[int]:
-    # The unit series' coefficients, and the cap guard of every builder here.
+def _words(packed: int, count: int) -> array:
+    # The count 64-bit words of a nonnegative int below 2^(64 count), lowest
+    # first, in one C-level unpack.
+    words = array("Q", packed.to_bytes(8 * count, sys.byteorder))
+    if sys.byteorder == "big":
+        words.reverse()
+    return words
+
+
+def _check_cap(cap: int) -> None:
+    # The cap guard of every builder here.
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    return [1] + [0] * cap
 
 
 # perfbench/spans.py traces it by name; ROADMAP item 14 deletes it.
@@ -223,7 +238,8 @@ def series_of(spec: AlgebraSpec, cap: int) -> TruncatedSeries:
     if last is not None and len(last[1]) == cap + 1 and degrees[: len(last[0])] == last[0]:
         done, coeffs = len(last[0]), list(last[1])
     else:
-        done, coeffs = 0, _unit_list(cap)
+        _check_cap(cap)
+        done, coeffs = 0, [1] + [0] * cap
     _times_geometric(coeffs, degrees[done:])
     built = tuple(coeffs)
     _last = (degrees, built)
@@ -236,19 +252,22 @@ def simple_system_series(d: int, cap: int) -> TruncatedSeries:
     Binary expansion makes this equal to the polynomial series on one
     degree-d generator, but it is computed here as a genuine product of
     (1 + t^(d 2^a)) factors so the identity stays an honest cross-check.
-    Each factor 1 + t^e is one slice pass, coeffs[e:] plus coeffs, cut
-    by map at the shorter coeffs[e:]: slice assignment builds its whole
-    right-hand side before it writes, so every sum reads coefficients
-    the factor has not touched yet.
+    The product is one int with a 64-bit slot per degree, so each factor
+    1 + t^e is one shift by e slots and one add, cut at the cap once,
+    at the end.  No slot can carry into the next: there are at most
+    floor(log2(cap / d)) + 1 factors, each at most doubles the largest
+    slot, so every slot stays <= 2 cap, below 2^64 for any cap below 2^63.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    coeffs = _unit_list(cap)
+    _check_cap(cap)
+    product = 1
     e = d
     while e <= cap:
-        coeffs[e:] = map(operator.add, coeffs[e:], coeffs)
+        product += product << 64 * e
         e *= 2
-    return _summed(coeffs)
+    count = cap + 1
+    return _summed(_words(product & ((1 << 64 * count) - 1), count))
 
 
 def _times_geometric(coeffs: list[int], degrees: tuple[int, ...]) -> None:

@@ -170,6 +170,26 @@ def test_simple_systems_detects_a_mutated_factor(monkeypatch):
     assert report.first_discrepancy is not None
 
 
+@pytest.mark.parametrize(
+    "actual",
+    [
+        (1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1),
+        (1, 0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 1),
+        (1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0),
+    ],
+    ids=["stray-off-the-multiples", "two-on-a-multiple", "one-short"],
+)
+def test_simple_systems_names_each_injected_fault(monkeypatch, actual):
+    # each part of the comparison fails alone: the zeros off the multiples of
+    # d, the ones on them, and the length; the witness is the whole closed form
+    def injected(d, cap):
+        return TruncatedSeries(actual) if d == 3 else closed_form(d, cap)
+
+    monkeypatch.setattr(checks, "simple_system_series", injected)
+    expected = [1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1]
+    assert verify_simple_systems(12).first_discrepancy == Discrepancy(3, expected, list(actual))
+
+
 def test_main_theorem_detects_a_wrong_product_coefficient(monkeypatch):
     # series_of serves the product route alone: the stagewise factors are closed forms
     def mutated(spec, cap):
@@ -282,7 +302,7 @@ def test_main_theorem_builds_one_series_per_route(monkeypatch, cap):
 
 @pytest.mark.parametrize("cap", [1, 16, 64])
 def test_simple_systems_build_one_series_per_degree(monkeypatch, cap):
-    # the closed form is a plain tuple; only the height-1 product is a series
+    # a passing check builds no closed form; only the height-1 product is a series
     built = count_series_built(monkeypatch)
     assert verify_simple_systems(cap).passed
     assert len(built) == cap

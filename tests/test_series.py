@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -359,6 +361,33 @@ def test_simple_system_equals_brute_force_product(d, cap):
         product = TruncatedSeries(brute_convolution(product, factor))
         e *= 2
     assert simple_system_series(d, cap).coeffs == product.coeffs
+
+
+def slice_pass_product(d, cap):
+    # A list reference for the packed product: each factor 1 + t^e is one slice
+    # pass, coeffs[e:] plus coeffs, cut by map at the shorter coeffs[e:]; slice
+    # assignment builds its right-hand side before it writes, so every sum reads
+    # coefficients the factor has not touched.
+    coeffs = [1] + [0] * cap
+    e = d
+    while e <= cap:
+        coeffs[e:] = map(operator.add, coeffs[e:], coeffs)
+        e *= 2
+    return tuple(coeffs)
+
+
+def test_simple_system_equals_the_slice_pass_product():
+    # every degree up to one past the cap, whose product is the unit series
+    for cap in [*range(131), 539]:
+        for d in range(1, cap + 2):
+            assert simple_system_series(d, cap).coeffs == slice_pass_product(d, cap), (d, cap)
+
+
+def test_simple_system_equals_the_slice_pass_product_at_cap_4000():
+    # the work limit of verify --check simple-system: the most factors, the
+    # degrees around half the cap, where the last factor changes, and the top
+    for d in [*range(1, 201), *range(1990, 2011), *range(3900, 4001)]:
+        assert simple_system_series(d, 4000).coeffs == slice_pass_product(d, 4000), d
 
 
 @given(st.integers(1, 32), st.integers(0, 64))
