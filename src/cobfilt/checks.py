@@ -30,7 +30,14 @@ from itertools import compress, count
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .degrees import BASE, TableEntry, decompose, is_excluded, stages_up_to_degree
-from .series import AlgebraSpec, TruncatedSeries, _words, series_of, simple_system_series
+from .series import (
+    AlgebraSpec,
+    TruncatedSeries,
+    _check_cap,
+    _words,
+    series_of,
+    simple_system_series,
+)
 from .spaces import adams_homotopy_series
 
 
@@ -65,8 +72,7 @@ def partition_dp(allowed: Iterable[int], cap: int) -> TruncatedSeries:
         raise ValueError("parts must be >= 1")
     if len(set(parts)) != len(parts):
         raise ValueError("parts must be distinct")
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
+    _check_cap(cap)
     divisor_sums = [0] * (cap + 1)
     for p in parts:
         for k in range(p, cap + 1, p):
@@ -103,6 +109,7 @@ def verify_bijection(bound: int) -> CheckReport:
     """Exhaustively enumerate all stages with degree <= bound and check
     they hit each non-excluded degree in [2, bound] exactly once, with
     decompose reproducing the enumerated triple."""
+    _check_cap(bound)
     by_degree: dict[int, list[tuple[int, int, int]]] = {}
     for degree, triple in _enumerate_triples(bound):
         by_degree.setdefault(degree, []).append(triple)
@@ -167,6 +174,7 @@ def verify_main_theorem(cap: int) -> CheckReport:
     gains under cap 2^64 per stage, so it stays exact below 2^128 for
     any cap under 2^32.  A 64-bit slot could carry into the next unseen.
     """
+    _check_cap(cap)
     gens = [d for d in range(2, cap + 1) if not is_excluded(d)]
     via_product = series_of(AlgebraSpec(gens), cap)
     via_dp = partition_dp(gens, cap)
@@ -200,6 +208,7 @@ def verify_quotient_steps(cap: int) -> CheckReport:
     first differing degree, the previous stage's coefficient and the
     product's.
     """
+    _check_cap(cap)
     return CheckReport(next((w for _, _, w in _quotient_walk(cap) if w is not None), None))
 
 
@@ -225,6 +234,7 @@ def verify_simple_systems(cap: int) -> CheckReport:
     coefficients, a 1 in each of the cap // d + 1 degrees divisible by d,
     and a 0 in each of the other cap - cap // d.
     """
+    _check_cap(cap)
     ones = (1,) * (cap + 1)
     for d in range(1, cap + 1):
         actual = simple_system_series(d, cap).coeffs

@@ -308,9 +308,27 @@ def test_simple_systems_build_one_series_per_degree(monkeypatch, cap):
     assert len(built) == cap
 
 
-def test_main_theorem_rejects_a_negative_cap():
-    with pytest.raises(ValueError):
-        verify_main_theorem(-1)
+@pytest.mark.parametrize(
+    "run",
+    [
+        verify_bijection,
+        verify_main_theorem,
+        verify_quotient_steps,
+        verify_simple_systems,
+        lambda cap: partition_dp((), cap),
+    ],
+    ids=[
+        "verify_bijection",
+        "verify_main_theorem",
+        "verify_quotient_steps",
+        "verify_simple_systems",
+        "partition_dp",
+    ],
+)
+def test_every_check_rejects_a_negative_cap(run):
+    with pytest.raises(ValueError) as raised:
+        run(-1)
+    assert str(raised.value) == "cap must be >= 0, got -1"
 
 
 def test_quotient_steps_detect_a_dropped_stage_generator(monkeypatch):

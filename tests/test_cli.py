@@ -1,5 +1,7 @@
 import argparse
+import ast
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -22,6 +24,7 @@ from cobfilt.series import U64_MAX, AlgebraSpec, TruncatedSeries, series_of
 from cobfilt.spaces import steenrod_series
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -619,6 +622,34 @@ def _limit_argv(command, kind, cap):
     if command == "verify":
         return ("verify", "--check", kind, "--cap", str(cap))
     return ("series", kind, *(() if kind == "steenrod" else ("--stage", "1,0,0")), "--cap", str(cap))
+
+
+def _literal(path, name):
+    # The value of a module-level literal assignment, read without running the module.
+    tree = ast.parse(path.read_text())
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
+    )
+
+
+def test_every_check_has_its_cap_limit_sweep_families_and_benchmark_entries():
+    # The lists read here stay literal: a list that read cli._CHECK_RUNNERS
+    # would lose a dropped check on both sides of its comparison, unseen.
+    spec = importlib.util.spec_from_file_location("cobfilt_test_sweep", ROOT / "scripts" / "sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    reference_checks = _literal(ROOT / "perfbench" / "reference.py", "VERIFY_CHECKS")
+    workload_checks = _literal(ROOT / "perfbench" / "workloads.py", "VERIFY_CHECKS")
+    for name in cli._CHECK_RUNNERS:
+        assert ("verify", name) in cli._CAP_LIMITS
+        assert f"verify {name}" in sweep.FAMILIES
+        assert f"verify {name} --json" in sweep.FAMILIES
+        assert name in reference_checks
+        assert name in workload_checks
+    rows = [cli._CAP_LIMITS["verify", name] for name in cli._CHECK_RUNNERS]
+    assert cli._CAP_LIMITS["verify", "all"] == min(rows, key=lambda row: row[0])
 
 
 @pytest.fixture
