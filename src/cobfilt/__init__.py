@@ -17,7 +17,6 @@ from .degrees import (
     BASE,
     ExcludedDegreeError,
     StageTriple,
-    TableEntry,
     compose,
     decompose,
     is_excluded,

@@ -29,7 +29,7 @@ import operator
 from itertools import compress, count
 from typing import Any, Iterable, Iterator, NamedTuple
 
-from .degrees import BASE, TableEntry, decompose, is_excluded, stages_up_to_degree
+from .degrees import BASE, StageTriple, decompose, is_excluded, stages_up_to_degree
 from .series import (
     AlgebraSpec,
     TruncatedSeries,
@@ -179,8 +179,8 @@ def verify_main_theorem(cap: int) -> CheckReport:
     via_product = series_of(AlgebraSpec(gens), cap)
     via_dp = partition_dp(gens, cap)
     product = 1
-    for entry in stages_up_to_degree(cap):
-        product = _times_closed_form(product, entry.degree, cap)
+    for d in stages_up_to_degree(cap)[0]:
+        product = _times_closed_form(product, d, cap)
     words = _words(product, 2 * (cap + 1))
     low, high = words[::2], words[1::2]
     if any(high):  # the full counts, so the series names the lowest degree past 2^64
@@ -212,16 +212,18 @@ def verify_quotient_steps(cap: int) -> CheckReport:
     return CheckReport(next((w for _, _, w in _quotient_walk(cap) if w is not None), None))
 
 
-def _quotient_walk(cap: int) -> Iterator[tuple[TableEntry, tuple[int, ...], Discrepancy | None]]:
-    # Each stage in stage order: its entry, its homotopy series and the witness of
+def _quotient_walk(
+    cap: int,
+) -> Iterator[tuple[tuple[int, StageTriple], tuple[int, ...], Discrepancy | None]]:
+    # Each stage in stage order: its (degree, triple), its homotopy series and the witness of
     # its quotient step, None when the stage times 1 - t^d is the stage before.
     # The walk goes on past a failing stage, from that stage's own series.
     previous = adams_homotopy_series(BASE, cap).coeffs
-    for entry in stages_up_to_degree(cap):
-        d, c = entry.degree, adams_homotopy_series(entry.triple, cap).coeffs
+    for d, triple in zip(*stages_up_to_degree(cap)):
+        c = adams_homotopy_series(triple, cap).coeffs
         back = c[:d] + tuple(map(operator.sub, c[d:], c))
         t = _first_mismatch(previous, back)
-        yield entry, c, None if t is None else Discrepancy(t, previous[t], back[t])
+        yield (d, triple), c, None if t is None else Discrepancy(t, previous[t], back[t])
         previous = c
 
 

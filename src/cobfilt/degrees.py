@@ -15,9 +15,10 @@ Triples are ordered lexicographically, n first, then j, then i.  Note
 that this is not the degree order: the stage of degree 11 precedes the
 stage of degree 6.  The stages come in runs: the stages (n, j, 0),
 (n, j, 1), ... share n and j, and iter_runs yields each run's n, j and
-degrees in that order.  The stage table up to a degree bound is a plain
-tuple of (degree, triple) entries in that order, read off the runs, and
-cached per bound: the checks and the stage series read it at every stage.
+degrees in that order.  The stage table up to a degree bound is two
+aligned tuples in that order, its degrees and its triples, read off the
+runs and cached once per bound: the checks and the stage series read it
+at every stage, each the column it needs.
 """
 
 from __future__ import annotations
@@ -103,11 +104,6 @@ def decompose(d: int) -> StageTriple:
     return StageTriple(n, j, i)
 
 
-class TableEntry(NamedTuple):
-    degree: int
-    triple: StageTriple
-
-
 def iter_runs(bound: int) -> Iterator[tuple[int, int, list[int]]]:
     """Every run of generator-bearing stages with degree <= bound, as
     (n, j, degrees) in stage order, where degrees[i] is the degree of
@@ -136,12 +132,13 @@ def iter_runs(bound: int) -> Iterator[tuple[int, int, list[int]]]:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def stages_up_to_degree(bound: int) -> tuple[TableEntry, ...]:
-    """All generator-bearing stages with degree <= bound, as (degree,
-    triple) entries in stage order: the runs of iter_runs(bound), entry
-    by entry.  Cached for the last 16 bounds."""
-    return tuple(
-        TableEntry(degree, StageTriple(n, j, i))
-        for n, j, degrees in iter_runs(bound)
-        for i, degree in enumerate(degrees)
-    )
+def stages_up_to_degree(bound: int) -> tuple[tuple[int, ...], tuple[StageTriple, ...]]:
+    """All generator-bearing stages with degree <= bound, in stage order,
+    as two aligned columns (degrees, triples): the runs of iter_runs(bound),
+    stage by stage.  Cached for the last 16 bounds."""
+    degrees: list[int] = []
+    triples: list[StageTriple] = []
+    for n, j, run in iter_runs(bound):
+        degrees += run
+        triples += (StageTriple(n, j, i) for i in range(len(run)))
+    return tuple(degrees), tuple(triples)

@@ -6,8 +6,9 @@ The dual Steenrod algebra A_* is polynomial on classes xi_k in degrees
 2^k - 1, so its degree-t dimension counts the partitions of t into
 parts 2^k - 1.  Its series is cached for the last 16 caps, and its
 coefficients first exceed 64 bits in degree 29,781.  A stage's generators
-are a prefix of the stage table, which degrees caches per bound, and their
-degrees a slice of that table's degrees, cached here per bound too.
+are a prefix of the stage table, which degrees caches once per bound as
+two columns: a bisect of the triples finds the prefix, and their degrees
+are that slice of the degrees.
 
 A filtration stage (n, j, i) contributes the Thom-complex homology
 A_* (x) Z/2[one generator per stage up to this one] (Thom 1954).  The
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from operator import attrgetter
 
 from .degrees import _CACHE_SIZE, StageTriple, stages_up_to_degree
 from .series import AlgebraSpec, TruncatedSeries, series_of
@@ -46,22 +46,15 @@ def steenrod_series(cap: int) -> TruncatedSeries:
     return series_of(AlgebraSpec(_xi_degrees(cap)), cap)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _stage_degrees(bound: int) -> tuple[int, ...]:
-    # The degrees of stages_up_to_degree(bound), in its order, cached per bound as it is.
-    return tuple(entry.degree for entry in stages_up_to_degree(bound))
-
-
 def stage_generator_degrees(t: StageTriple, bound: int) -> list[int]:
     """Degrees of all generators present at stage t, capped at bound.
 
     Listed in stage order, so the list for a later stage extends the
     list for an earlier one.  The base stage contributes nothing.
     """
-    table = stages_up_to_degree(bound)  # cached per bound
+    degrees, triples = stages_up_to_degree(bound)  # cached per bound
     # The table is in stage order, so the stages up to t are a prefix of it.
-    present = bisect_right(table, t, key=attrgetter("triple"))
-    return list(_stage_degrees(bound)[:present])
+    return list(degrees[: bisect_right(triples, t)])
 
 
 def thom_homology_series(t: StageTriple, cap: int) -> TruncatedSeries:

@@ -85,14 +85,14 @@ def test_criterion_3_stage_quotients():
     with criterion("3 (stage quotients, cap 64)"):
         cap = 64
         previous = adams_homotopy_series(BASE, cap)
-        entries = stages_up_to_degree(cap)
-        assert entries[0].degree == 2
-        for entry in entries:
-            current = adams_homotopy_series(entry.triple, cap)
+        degrees, triples = stages_up_to_degree(cap)
+        assert degrees[0] == 2
+        for degree, triple in zip(degrees, triples):
+            current = adams_homotopy_series(triple, cap)
             quotient = exact_div(current, previous)
             # 1/(1 - t^d) in closed form, not by the stride kernel under test
-            predicted = tuple(int(k % entry.degree == 0) for k in range(cap + 1))
-            assert quotient.coeffs == predicted, entry
+            predicted = tuple(int(k % degree == 0) for k in range(cap + 1))
+            assert quotient.coeffs == predicted, (degree, triple)
             previous = current
         assert verify_quotient_steps(cap).passed
 
@@ -101,14 +101,14 @@ def test_criterion_4_adams_collapse_divisibility():
     with criterion("4 (Adams collapse, cap 48)"):
         cap = 48
         steenrod = steenrod_series(cap)
-        for entry in stages_up_to_degree(cap):
-            homology = thom_homology_series(entry.triple, cap)
+        for triple in stages_up_to_degree(cap)[1]:
+            homology = thom_homology_series(triple, cap)
             quotient = exact_div(homology, steenrod)
             stage_poly = series_of(
-                AlgebraSpec(stage_generator_degrees(entry.triple, cap)), cap
+                AlgebraSpec(stage_generator_degrees(triple, cap)), cap
             )
-            assert quotient.coeffs == stage_poly.coeffs, entry
-            assert mul(quotient, steenrod).coeffs == homology.coeffs, entry
+            assert quotient.coeffs == stage_poly.coeffs, triple
+            assert mul(quotient, steenrod).coeffs == homology.coeffs, triple
         # A_* counts the partitions into parts 2^k - 1
         assert steenrod_series(40).coeffs == partition_dp([1, 3, 7, 15, 31], 40).coeffs
 

@@ -13,7 +13,7 @@ from cobfilt.checks import (
     verify_quotient_steps,
     verify_simple_systems,
 )
-from cobfilt.degrees import StageTriple, TableEntry, stages_up_to_degree
+from cobfilt.degrees import StageTriple, stages_up_to_degree
 from cobfilt.series import AlgebraSpec, TruncatedSeries, mul, series_of
 
 
@@ -225,8 +225,12 @@ def extra_stage(monkeypatch):
     original = checks.stages_up_to_degree
 
     def install(degree):
-        extra = (TableEntry(degree, StageTriple(1, 0, 0)),)
-        monkeypatch.setattr(checks, "stages_up_to_degree", lambda bound: original(bound) + extra)
+        extra = ((degree,), (StageTriple(1, 0, 0),))
+        monkeypatch.setattr(
+            checks,
+            "stages_up_to_degree",
+            lambda bound: tuple(column + more for column, more in zip(original(bound), extra)),
+        )
 
     return install
 
@@ -256,7 +260,7 @@ def closed_form(d, cap):
 def test_main_theorem_stagewise_route_matches_a_chain_of_mul(monkeypatch, cap):
     # the stagewise series is the last series the check builds; mul, which no
     # check calls, multiplies the same closed forms in the same stage order
-    built = []
+    built, walked = [], []
 
     class Recorded(TruncatedSeries):
         __slots__ = ()
@@ -265,12 +269,22 @@ def test_main_theorem_stagewise_route_matches_a_chain_of_mul(monkeypatch, cap):
             built.append(super().__new__(cls, coeffs))
             return built[-1]
 
+    def recording(product, d, cap):
+        walked.append(d)
+        return original(product, d, cap)
+
+    original = checks._times_closed_form
     monkeypatch.setattr(checks, "TruncatedSeries", Recorded)
+    monkeypatch.setattr(checks, "_times_closed_form", recording)
     assert verify_main_theorem(cap).passed
     expected = TruncatedSeries((1,) + (0,) * cap)
-    for entry in stages_up_to_degree(cap):
-        expected = mul(expected, closed_form(entry.degree, cap))
+    for degree in stages_up_to_degree(cap)[0]:
+        expected = mul(expected, closed_form(degree, cap))
     assert built[-1] == expected
+    # The product is the same in any order, so its value cannot show the walk:
+    # each partial product is a stage's series only when the factors come in
+    # stage order, the table's degrees column.
+    assert tuple(walked) == stages_up_to_degree(cap)[0]
 
 
 def count_series_built(monkeypatch):
@@ -347,7 +361,7 @@ def test_quotient_steps_detect_a_dropped_stage_generator(monkeypatch):
 def test_quotient_steps_report_a_stage_the_previous_one_does_not_divide(monkeypatch):
     # the second stage, of degree 5, comes back as the unit series: times
     # 1 - t^5 it is 1 - t^5, not the first stage's 1/(1 - t^2)
-    second = stages_up_to_degree(16)[1].triple
+    second = stages_up_to_degree(16)[1][1]
     original = checks.adams_homotopy_series
 
     def unit_at_second(t, cap):
@@ -418,7 +432,7 @@ def test_quotient_steps_build_one_series_per_stage(monkeypatch, cap):
     # coefficient tuples and builds no quotient or prediction of its own
     built = count_series_built(monkeypatch)
     assert verify_quotient_steps(cap).passed
-    assert len(built) == len(stages_up_to_degree(cap)) + 1
+    assert len(built) == len(stages_up_to_degree(cap)[0]) + 1
 
 
 def by_start(from_the_unit, resumed):
@@ -451,14 +465,19 @@ def test_quotient_steps_detect_a_kernel_wrong_on_a_resumed_build(stride_kernel):
 
 # The stage table up to 16 runs 2, 5, 11, 6, ... in stage order.  The table
 # checks neither its order nor its distinct degrees when built; a table that
-# broke either would make the quotient check walk the stages wrongly.
+# broke either would make the quotient check walk the stages wrongly.  Each
+# defect edits the degrees and the triples alike, so the columns stay aligned.
+def each_column(edit):
+    return lambda table: tuple(map(edit, table))
+
+
 TABLE_DEFECTS = {
     # 6 then arrives together with 13, so the stage times 1 - t^13 keeps 1/(1 - t^6)
-    "dropped": (lambda table: table[:3] + table[4:], Discrepancy(6, 1, 2)),
+    "dropped": (each_column(lambda c: c[:3] + c[4:]), Discrepancy(6, 1, 2)),
     # the second copy of stage 5 adds nothing, so its quotient is 1
-    "repeated": (lambda table: table[:2] + table[1:], Discrepancy(5, 1, 0)),
+    "repeated": (each_column(lambda c: c[:2] + c[1:]), Discrepancy(5, 1, 0)),
     # stage 11 arrives before 5, bringing 5 with it
-    "swapped": (lambda table: table[:1] + (table[2], table[1]) + table[3:], Discrepancy(5, 0, 1)),
+    "swapped": (each_column(lambda c: c[:1] + (c[2], c[1]) + c[3:]), Discrepancy(5, 0, 1)),
 }
 
 

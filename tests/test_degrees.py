@@ -7,7 +7,6 @@ from cobfilt.degrees import (
     BASE,
     ExcludedDegreeError,
     StageTriple,
-    TableEntry,
     compose,
     decompose,
     is_excluded,
@@ -114,9 +113,9 @@ def test_decompose_never_yields_the_base_family():
 
 def test_compose_injective_up_to_ten_thousand():
     seen = {}
-    for entry in stages_up_to_degree(10**4):
-        assert entry.degree not in seen
-        seen[entry.degree] = entry.triple
+    for degree, triple in zip(*stages_up_to_degree(10**4)):
+        assert degree not in seen
+        seen[degree] = triple
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +137,8 @@ def test_order_equal():
 
 
 def test_base_precedes_everything():
-    for entry in stages_up_to_degree(64):
-        assert BASE < entry.triple
+    for triple in stages_up_to_degree(64)[1]:
+        assert BASE < triple
 
 
 @given(stage_triples(), stage_triples())
@@ -179,48 +178,43 @@ def test_negative_parts_rejected():
 
 def test_stage_table_bound_six():
     assert stages_up_to_degree(6) == (
-        TableEntry(2, StageTriple(1, 1, 0)),
-        TableEntry(5, StageTriple(1, 1, 1)),
-        TableEntry(6, StageTriple(1, 2, 0)),
-        TableEntry(4, StageTriple(2, 0, 0)),
+        (2, 5, 6, 4),
+        (StageTriple(1, 1, 0), StageTriple(1, 1, 1), StageTriple(1, 2, 0), StageTriple(2, 0, 0)),
     )
 
 
 def test_stage_table_bound_two():
-    assert stages_up_to_degree(2) == (TableEntry(2, StageTriple(1, 1, 0)),)
+    assert stages_up_to_degree(2) == ((2,), (StageTriple(1, 1, 0),))
 
 
 def test_stage_table_bound_one_is_empty():
-    assert stages_up_to_degree(1) == ()
+    assert stages_up_to_degree(1) == ((), ())
 
 
 @given(st.integers(0, 300))
 def test_stage_table_degrees_are_exactly_the_non_excluded_window(bound):
-    table = stages_up_to_degree(bound)
-    assert sorted(entry.degree for entry in table) == [
-        d for d in range(2, bound + 1) if not is_excluded(d)
-    ]
-    for entry in table:
-        assert compose(entry.triple) == entry.degree
+    degrees, triples = stages_up_to_degree(bound)
+    assert sorted(degrees) == [d for d in range(2, bound + 1) if not is_excluded(d)]
+    assert len(triples) == len(degrees)
+    for degree, triple in zip(degrees, triples):
+        assert compose(triple) == degree
 
 
 def test_stage_table_is_sorted_by_triple():
-    triples = [entry.triple for entry in stages_up_to_degree(200)]
+    triples = list(stages_up_to_degree(200)[1])
     assert triples == sorted(triples)
     assert len(set(triples)) == len(triples)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 6, 100, 4095, 4096, 10**4])
 def test_each_later_stage_of_a_run_follows_the_one_it_is_the_cup1_of(bound):
-    # the table renders an entry with i >= 1 as the cup-1 of the entry before it
-    table = stages_up_to_degree(bound)
-    for k, entry in enumerate(table):
-        n, j, i = entry.triple.n, entry.triple.j, entry.triple.i
+    # the table renders a stage with i >= 1 as the cup-1 of the stage before it
+    degrees, triples = stages_up_to_degree(bound)
+    for k, (n, j, i) in enumerate(triples):
         if i:
             assert k > 0
-            before = table[k - 1]
-            assert before.triple == StageTriple(n, j, i - 1)
-            assert entry.degree == 2 * before.degree + 1
+            assert triples[k - 1] == StageTriple(n, j, i - 1)
+            assert degrees[k] == 2 * degrees[k - 1] + 1
 
 
 # the bounds 0..300 and 10^4
@@ -229,12 +223,10 @@ RUN_BOUNDS = [*range(301), 10**4]
 
 def test_flattened_runs_are_the_stage_table():
     for bound in RUN_BOUNDS:
-        flat = tuple(
-            (degree, (n, j, i))
-            for n, j, degrees in iter_runs(bound)
-            for i, degree in enumerate(degrees)
-        )
-        assert flat == stages_up_to_degree(bound)
+        runs = list(iter_runs(bound))
+        flat_degrees = tuple(degree for _, _, degrees in runs for degree in degrees)
+        flat_triples = tuple((n, j, i) for n, j, degrees in runs for i in range(len(degrees)))
+        assert (flat_degrees, flat_triples) == stages_up_to_degree(bound)
 
 
 def test_a_run_takes_cup1_steps_until_the_bound():
@@ -307,7 +299,7 @@ def test_triple_is_a_tuple_in_order_eq_and_hash():
 
 
 def test_sorting_shuffled_triples_restores_the_table_order():
-    triples = [entry.triple for entry in stages_up_to_degree(2000)]
+    triples = list(stages_up_to_degree(2000)[1])
     shuffled = triples[:]
     random.Random(0).shuffle(shuffled)
     assert shuffled != triples
@@ -316,10 +308,10 @@ def test_sorting_shuffled_triples_restores_the_table_order():
 
 def test_unchecked_stages_are_the_checked_triples_of_their_degrees():
     # stages_up_to_degree builds each triple from the runs' indices, so compare
-    # each entry with the triple decompose builds, and rebuild it through the check.
-    table = stages_up_to_degree(10**4)
-    for entry in table:
-        degree, triple = entry
-        assert type(entry) is TableEntry and type(triple) is StageTriple
+    # each stage with the triple decompose builds, and rebuild it through the check.
+    degrees, triples = stages_up_to_degree(10**4)
+    assert type(degrees) is tuple and type(triples) is tuple
+    for degree, triple in zip(degrees, triples):
+        assert type(degree) is int and type(triple) is StageTriple
         assert triple == decompose(degree) == StageTriple(*triple)
-    assert len(table) == 10**4 - 13
+    assert len(degrees) == len(triples) == 10**4 - 13

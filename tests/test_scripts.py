@@ -49,7 +49,7 @@ def test_stage_walkthrough_confirms_every_quotient():
     proc = run_script("stage_walkthrough.py", "--bound", "24")
     assert proc.returncode == 0, proc.stderr
     assert "MISMATCH" not in proc.stdout
-    assert proc.stdout.count("[ok]") == len(stages_up_to_degree(24))
+    assert proc.stdout.count("[ok]") == len(stages_up_to_degree(24)[0])
 
 
 def test_stage_walkthrough_rejects_a_negative_bound():
@@ -67,9 +67,11 @@ def test_stage_walkthrough_refuses_a_bound_above_the_quotient_check_limit():
     assert proc.stdout == ""
     assert proc.stderr.endswith("error: --bound must be <= 539, got 540\n")
     assert "Traceback" not in proc.stderr
+    # At the top of the range every stage still checks out, one [ok] line each.
     proc = run_script("stage_walkthrough.py", "--bound", "539")
     assert proc.returncode == 0, proc.stderr
     assert "MISMATCH" not in proc.stdout
+    assert proc.stdout.count("[ok]") == len(stages_up_to_degree(539)[0]) == 530
 
 
 def test_stage_walkthrough_exits_one_on_a_mismatch(monkeypatch, capsys):
@@ -83,7 +85,7 @@ def test_stage_walkthrough_exits_one_on_a_mismatch(monkeypatch, capsys):
     assert code == 1
     assert "  quotient  1/(1 - t^6)  [MISMATCH: times 1 - t^6 gives 0 in degree 6, the previous stage 1]\n" in out
     assert out.count("[MISMATCH") == 1
-    assert out.count("[ok]") == len(stages_up_to_degree(16)) - 1
+    assert out.count("[ok]") == len(stages_up_to_degree(16)[0]) - 1
     assert_first_mismatch_is_the_check_witness(out)
 
 
@@ -101,7 +103,7 @@ def test_stage_walkthrough_goes_on_past_a_stage_the_one_before_does_not_divide(m
     code, out = run_walkthrough_16(monkeypatch, capsys)
     assert code == 1
     stages = [line for line in out.splitlines() if line.startswith("stage (")]
-    assert stages == [f"stage ({n},{j},{i}): new generator x_{d}" for d, (n, j, i) in stages_up_to_degree(16)]
+    assert stages == [f"stage ({n},{j},{i}): new generator x_{d}" for d, (n, j, i) in zip(*stages_up_to_degree(16))]
     assert "  quotient  1/(1 - t^5)  [MISMATCH: times 1 - t^5 gives 0 in degree 2, the previous stage 1]\n" in out
     assert "  quotient  1/(1 - t^11)  [MISMATCH: times 1 - t^11 gives 1 in degree 2, the previous stage 0]\n" in out
     assert out.count("[MISMATCH") == 2

@@ -59,8 +59,7 @@ def test_stage_degrees_listed_in_stage_order():
 
 
 def test_stage_degrees_monotone_under_stage_order():
-    table = stages_up_to_degree(40)
-    lists = [stage_generator_degrees(t, 40) for t in [BASE] + [e.triple for e in table]]
+    lists = [stage_generator_degrees(t, 40) for t in [BASE, *stages_up_to_degree(40)[1]]]
     for earlier, later in zip(lists, lists[1:]):
         assert later[: len(earlier)] == earlier
 
@@ -75,21 +74,27 @@ def stage_triples(draw):
 
 @given(stage_triples(), st.integers(0, 200))
 def test_stage_degrees_equal_the_plain_filter(t, bound):
-    expected = [entry.degree for entry in stages_up_to_degree(bound) if entry.triple <= t]
+    expected = [d for d, triple in zip(*stages_up_to_degree(bound)) if triple <= t]
     assert stage_generator_degrees(t, bound) == expected
 
 
 def test_stage_table_is_built_once_per_bound():
-    # the quotient check and every stage series it builds read the same table
+    # the quotient check and every stage series, of both kinds, read the same table
     stages_up_to_degree.cache_clear()
     assert verify_quotient_steps(32).passed
-    stages_up_to_degree(32)  # a hit, so the one build was of bound 32
+    for t in [BASE, *stages_up_to_degree(32)[1]]:  # a hit, so the one build was of bound 32
+        adams_homotopy_series(t, 32)
+        thom_homology_series(t, 32)
     assert stages_up_to_degree.cache_info().misses == 1
     stages_up_to_degree.cache_clear()
+    # spaces keeps no cache of its own over the table: its one cache is the A_* series,
+    # and the only other it sees is the table's own, imported from degrees
+    cached = {name: value for name, value in vars(spaces).items() if hasattr(value, "cache_info")}
+    assert cached == {"steenrod_series": steenrod_series, "stages_up_to_degree": stages_up_to_degree}
 
 
 def test_the_caches_stay_bounded_over_many_caps():
-    caches = (spaces.steenrod_series, stages_up_to_degree, spaces._stage_degrees)
+    caches = (spaces.steenrod_series, stages_up_to_degree)
     for cache in caches:
         cache.cache_clear()
     for cap in range(4 * spaces._CACHE_SIZE):
@@ -122,8 +127,8 @@ def test_thom_series_first_stage():
 def test_thom_series_dominates_steenrod():
     cap = 24
     A = steenrod_series(cap)
-    for entry in stages_up_to_degree(cap):
-        th = thom_homology_series(entry.triple, cap)
+    for degree, triple in zip(*stages_up_to_degree(cap)):
+        th = thom_homology_series(triple, cap)
         assert all(th.coeffs[t] >= A.coeffs[t] for t in range(cap + 1))
 
 
@@ -140,9 +145,9 @@ def test_homotopy_times_steenrod_recovers_thom_homology():
     # H_* = A_* (x) pi_*, by mul, a kernel neither series route uses
     cap = 24
     A = steenrod_series(cap)
-    for entry in stages_up_to_degree(cap):
-        q = adams_homotopy_series(entry.triple, cap)
-        assert mul(q, A).coeffs == thom_homology_series(entry.triple, cap).coeffs
+    for degree, triple in zip(*stages_up_to_degree(cap)):
+        q = adams_homotopy_series(triple, cap)
+        assert mul(q, A).coeffs == thom_homology_series(triple, cap).coeffs
 
 
 def test_consecutive_stage_quotients_add_one_polynomial_generator():
@@ -150,10 +155,10 @@ def test_consecutive_stage_quotients_add_one_polynomial_generator():
     # by d, not by the stride kernel that built the stages
     cap = 24
     previous = adams_homotopy_series(BASE, cap)
-    for entry in stages_up_to_degree(cap):
-        current = adams_homotopy_series(entry.triple, cap)
+    for degree, triple in zip(*stages_up_to_degree(cap)):
+        current = adams_homotopy_series(triple, cap)
         quotient = exact_div(current, previous)
-        assert quotient.coeffs == tuple(int(k % entry.degree == 0) for k in range(cap + 1))
+        assert quotient.coeffs == tuple(int(k % degree == 0) for k in range(cap + 1))
         previous = current
 
 
@@ -161,7 +166,7 @@ def test_homotopy_series_equals_general_division_at_every_stage():
     # H_* = A_* (x) pi_*, by exact_div, a kernel neither series route uses
     cap = 48
     A = steenrod_series(cap)
-    for t in [BASE] + [e.triple for e in stages_up_to_degree(cap)]:
+    for t in [BASE, *stages_up_to_degree(cap)[1]]:
         expected = exact_div(thom_homology_series(t, cap), A)
         assert adams_homotopy_series(t, cap).coeffs == expected.coeffs, t
 
@@ -181,7 +186,7 @@ def test_homotopy_series_reads_nothing_of_steenrod(monkeypatch):
     original = cobfilt.series._times_geometric
     monkeypatch.setattr(spaces, "steenrod_series", no_steenrod)
     monkeypatch.setattr(cobfilt.series, "_times_geometric", recording)
-    for t in [BASE] + [e.triple for e in stages_up_to_degree(cap)]:
+    for t in [BASE, *stages_up_to_degree(cap)[1]]:
         passes = []
         cobfilt.series._last = None  # a cold build
         degrees = stage_generator_degrees(t, cap)
@@ -190,17 +195,17 @@ def test_homotopy_series_reads_nothing_of_steenrod(monkeypatch):
     # Walked in stage order, each stage starts from the one before it and
     # runs its own generator's pass alone.
     adams_homotopy_series(BASE, cap)
-    for entry in stages_up_to_degree(cap):
+    for degree, triple in zip(*stages_up_to_degree(cap)):
         passes = []
-        degrees = stage_generator_degrees(entry.triple, cap)
-        assert adams_homotopy_series(entry.triple, cap).coeffs == partition_dp(degrees, cap).coeffs
-        assert passes == [entry.degree], entry
+        degrees = stage_generator_degrees(triple, cap)
+        assert adams_homotopy_series(triple, cap).coeffs == partition_dp(degrees, cap).coeffs
+        assert passes == [degree], (degree, triple)
 
 
 def test_thom_series_fits_u64_through_cap_416():
     # (105,0,0) is the last stage at cap 416, so its Thom complex carries every generator
     last = StageTriple(105, 0, 0)
-    assert stages_up_to_degree(416)[-1].triple == last
+    assert stages_up_to_degree(416)[1][-1] == last
     thom_homology_series(last, 416)
     with pytest.raises(OverflowError, match="degree 417 "):
         thom_homology_series(last, 417)
@@ -208,7 +213,7 @@ def test_thom_series_fits_u64_through_cap_416():
 
 def test_thom_series_first_overflows_in_degree_417_at_cap_600():
     last = StageTriple(151, 0, 0)  # the last stage at cap 600, so it carries every generator
-    assert stages_up_to_degree(600)[-1].triple == last
+    assert stages_up_to_degree(600)[1][-1] == last
     with pytest.raises(OverflowError, match="^coefficient in degree 417 exceeds the 64-bit bound$"):
         thom_homology_series(last, 600)
 
@@ -226,7 +231,7 @@ def test_thom_series_counts_partitions_at_every_stage(monkeypatch):
     monkeypatch.setattr(cobfilt.series, "_times_geometric", recording)
     for cap in range(65):
         xi = [2**k - 1 for k in range(1, 7) if 2**k - 1 <= cap]
-        for t in [BASE] + [e.triple for e in stages_up_to_degree(cap)]:
+        for t in [BASE, *stages_up_to_degree(cap)[1]]:
             passes = []
             cobfilt.series._last = None  # a cold build
             degrees = xi + stage_generator_degrees(t, cap)
@@ -234,11 +239,11 @@ def test_thom_series_counts_partitions_at_every_stage(monkeypatch):
             assert passes == degrees, (t, cap)
         # In stage order, one pass per stage generator on top of the stage before.
         thom_homology_series(BASE, cap)
-        for entry in stages_up_to_degree(cap):
+        for degree, triple in zip(*stages_up_to_degree(cap)):
             passes = []
-            degrees = xi + stage_generator_degrees(entry.triple, cap)
-            assert thom_homology_series(entry.triple, cap).coeffs == partition_dp(degrees, cap).coeffs
-            assert passes == [entry.degree], (entry, cap)
+            degrees = xi + stage_generator_degrees(triple, cap)
+            assert thom_homology_series(triple, cap).coeffs == partition_dp(degrees, cap).coeffs
+            assert passes == [degree], (degree, triple, cap)
 
 
 def outcome(build, *args):
@@ -278,7 +283,7 @@ def test_a_resumed_build_equals_a_cold_one(caps, step):
     rng = random.Random(24)
     walks = []
     for cap in caps:
-        stages = [BASE] + [e.triple for e in stages_up_to_degree(cap)]
+        stages = [BASE, *stages_up_to_degree(cap)[1]]
         stages = stages[::step] + stages[-1:]
         walks += [[(build, t, cap) for t in stages] for build in (adams_homotopy_series, thom_homology_series)]
     others = [(build, cap) for cap in caps for build in (steenrod_series, verify_main_theorem)]
@@ -316,10 +321,10 @@ def test_thom_series_names_the_lowest_overflow_at_every_stage():
     top = 420
     count = unbounded_product([1] + [0] * top, [2**k - 1 for k in range(1, 9)])
     counts = {BASE: count}
-    for entry in stages_up_to_degree(top):
-        count = counts[entry.triple] = unbounded_product(count, [entry.degree])
+    for degree, triple in zip(*stages_up_to_degree(top)):
+        count = counts[triple] = unbounded_product(count, [degree])
     for cap in range(416, top + 1):
-        for t in [BASE] + [e.triple for e in stages_up_to_degree(cap)]:
+        for t in [BASE, *stages_up_to_degree(cap)[1]]:
             expected = counts[t][: cap + 1]
             over = [d for d, c in enumerate(expected) if c > U64_MAX]
             if over:
@@ -338,7 +343,7 @@ def test_adams_route_fits_u64_through_cap_539():
     ).coeffs
     # (136,0,0) is the last stage at cap 540, so it carries every generator
     last = StageTriple(136, 0, 0)
-    assert stages_up_to_degree(540)[-1].triple == last
+    assert stages_up_to_degree(540)[1][-1] == last
     adams_homotopy_series(last, 539)
     with pytest.raises(OverflowError, match="degree 540 "):
         adams_homotopy_series(last, 540)
