@@ -250,7 +250,7 @@ def _table_rows(max_degree: int, as_json: bool) -> Iterator[str]:
         yield f"{'degree':<8}{'stage':<12}recipe"
     count = 0
     head, last_n = "", 0
-    for n, j, degrees in iter_runs(max_degree):
+    for n, j, degree in iter_runs(max_degree):
         if n != last_n:
             head, last_n = f"{_PROJECTIVE}{_base_dim(n)}", n
         else:
@@ -258,7 +258,7 @@ def _table_rows(max_degree: int, as_json: bool) -> Iterator[str]:
         # What rows of this run share: their stage's j and n in JSON, "(n,j," in text.
         run = f'          "j": {j},\n          "n": {n}\n' if as_json else f"({n},{j},"
         term, i = head, 0
-        for degree in degrees:
+        while True:
             if as_json:
                 # The item as json.dumps(envelope, sort_keys=True, indent=2) renders
                 # it, three levels deep: the keys sorted, the stage's too.  A term
@@ -276,10 +276,12 @@ def _table_rows(max_degree: int, as_json: bool) -> Iterator[str]:
             else:
                 # ljust pads as the format spec :<8 would, at about half the cost.
                 yield f"{degree}".ljust(8) + f"{run}{i})".ljust(12) + term
-            # The next row's term; the last row's is made and dropped, which is
-            # cheaper than asking each row whether it is the first.
+            # The term waits for the bound test, so none is made past a run's last row.
+            degree = 2 * degree + 1
+            if degree > max_degree:
+                break
             term, i = f"{cup1}{term}{close}", i + 1
-        count += len(degrees)
+        count += i + 1
     if not as_json:
         yield f"{count} generator(s) up to degree {max_degree}"
 

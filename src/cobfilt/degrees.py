@@ -14,11 +14,11 @@ carries no generator.  Decomposition reads the triple straight off two
 Triples are ordered lexicographically, n first, then j, then i.  Note
 that this is not the degree order: the stage of degree 11 precedes the
 stage of degree 6.  The stages come in runs: the stages (n, j, 0),
-(n, j, 1), ... share n and j, and iter_runs yields each run's n, j and
-degrees in that order.  The stage table up to a degree bound is two
-aligned tuples in that order, its degrees and its triples, read off the
-runs and cached once per bound: the checks and the stage series read it
-at every stage, each the column it needs.
+(n, j, 1), ... share n and j, and degree d then 2d + 1; iter_runs yields
+each run's n, j and first degree in that order.  The stage table up to a
+degree bound is two aligned tuples in that order, its degrees and its
+triples, read off the runs and cached once per bound: the checks and the
+stage series read it at every stage, each the column it needs.
 """
 
 from __future__ import annotations
@@ -104,41 +104,39 @@ def decompose(d: int) -> StageTriple:
     return StageTriple(n, j, i)
 
 
-def iter_runs(bound: int) -> Iterator[tuple[int, int, list[int]]]:
+def iter_runs(bound: int) -> Iterator[tuple[int, int, int]]:
     """Every run of generator-bearing stages with degree <= bound, as
-    (n, j, degrees) in stage order, where degrees[i] is the degree of
-    stage (n, j, i).
+    (n, j, head) in stage order, where head is the degree of (n, j, 0).
+    Stage (n, j, i + 1) has degree 2d + 1 when (n, j, i) has degree d,
+    and the run holds every such degree up to the bound.
 
     The loop bounds follow the degree formula: stage n starts at degree
     4n - 4, each step in j takes the degree d of (n, j, 0) to 2d + 2,
-    each step in i takes d to 2d + 1, and each loop stops when the degree
-    leaves the window, so no run is empty.  A bound below 2 gives
-    nothing.  The degrees are exactly the non-excluded integers in
-    [2, bound], each once; that equality is a theorem and is checked by
-    the verification suite, not here.
+    and each loop stops when the degree leaves the window, so no run is
+    empty.  A bound below 2 gives nothing.  The runs' degrees are exactly
+    the non-excluded integers in [2, bound], each once; that equality is
+    a theorem and is checked by the verification suite, not here.
     """
     n = 1
     while 4 * n - 4 <= bound:
         j = 1 if n == 1 else 0
         head = ((4 * n - 2) << j) - 2  # the degree of (n, j, 0)
         while head <= bound:
-            degrees, degree = [], head
-            while degree <= bound:
-                degrees.append(degree)
-                degree = 2 * degree + 1
-            yield n, j, degrees
+            yield n, j, head
             head, j = 2 * head + 2, j + 1
         n += 1
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def stages_up_to_degree(bound: int) -> tuple[tuple[int, ...], tuple[StageTriple, ...]]:
-    """All generator-bearing stages with degree <= bound, in stage order,
-    as two aligned columns (degrees, triples): the runs of iter_runs(bound),
-    stage by stage.  Cached for the last 16 bounds."""
+    """The generator-bearing stages with degree <= bound in stage order, as aligned columns
+    (degrees, triples), each run of iter_runs from its head by d -> 2d + 1; cached per bound."""
     degrees: list[int] = []
     triples: list[StageTriple] = []
-    for n, j, run in iter_runs(bound):
-        degrees += run
-        triples += (StageTriple(n, j, i) for i in range(len(run)))
+    for n, j, degree in iter_runs(bound):
+        i = 0
+        while degree <= bound:
+            degrees.append(degree)
+            triples.append(StageTriple(n, j, i))
+            degree, i = 2 * degree + 1, i + 1
     return tuple(degrees), tuple(triples)

@@ -221,9 +221,18 @@ def test_each_later_stage_of_a_run_follows_the_one_it_is_the_cup1_of(bound):
 RUN_BOUNDS = [*range(301), 10**4]
 
 
+def _run_degrees(head, bound):
+    # a run's degrees from its head: d -> 2d + 1 while the degree is within the bound
+    degrees = []
+    while head <= bound:
+        degrees.append(head)
+        head = 2 * head + 1
+    return degrees
+
+
 def test_flattened_runs_are_the_stage_table():
     for bound in RUN_BOUNDS:
-        runs = list(iter_runs(bound))
+        runs = [(n, j, _run_degrees(head, bound)) for n, j, head in iter_runs(bound)]
         flat_degrees = tuple(degree for _, _, degrees in runs for degree in degrees)
         flat_triples = tuple((n, j, i) for n, j, degrees in runs for i in range(len(degrees)))
         assert (flat_degrees, flat_triples) == stages_up_to_degree(bound)
@@ -231,30 +240,38 @@ def test_flattened_runs_are_the_stage_table():
 
 def test_a_run_takes_cup1_steps_until_the_bound():
     for bound in RUN_BOUNDS:
-        for _, _, degrees in iter_runs(bound):
+        for n, j, head in iter_runs(bound):
+            degrees = _run_degrees(head, bound)
             assert degrees and degrees[-1] <= bound
             for before, degree in zip(degrees, degrees[1:]):
                 assert degree == 2 * before + 1
             assert 2 * degrees[-1] + 1 > bound
+            # ... and each degree is its stage's own: the run starts at (n, j, 0)
+            assert degrees == [compose(StageTriple(n, j, i)) for i in range(len(degrees))]
 
 
 def test_the_runs_of_one_n_take_cup2_steps_from_its_first_head():
     for bound in RUN_BOUNDS:
         previous = None  # (n, j, head) of the run before
-        for n, j, degrees in iter_runs(bound):
+        for n, j, head in iter_runs(bound):
             if previous is not None and previous[0] == n:
-                assert (j, degrees[0]) == (previous[1] + 1, 2 * previous[2] + 2)
+                assert (j, head) == (previous[1] + 1, 2 * previous[2] + 2)
             else:
                 # A new n starts where the degree formula puts (n, j, 0): j = 1 for n = 1.
                 assert n == (1 if previous is None else previous[0] + 1)
                 assert j == (1 if n == 1 else 0)
-                assert degrees[0] == compose(StageTriple(n, j, 0))
-            previous = n, j, degrees[0]
+                assert head == compose(StageTriple(n, j, 0))
+            previous = n, j, head
 
 
 def test_the_first_run_is_n_one_from_j_one():
     assert list(iter_runs(1)) == []
-    assert list(iter_runs(6)) == [(1, 1, [2, 5]), (1, 2, [6]), (2, 0, [4])]
+    assert list(iter_runs(6)) == [(1, 1, 2), (1, 2, 6), (2, 0, 4)]
+    assert [(n, j, _run_degrees(head, 6)) for n, j, head in iter_runs(6)] == [
+        (1, 1, [2, 5]),
+        (1, 2, [6]),
+        (2, 0, [4]),
+    ]
     assert next(iter_runs(10**4))[:2] == (1, 1)
 
 

@@ -1,5 +1,7 @@
-"""The walkthrough script runs end to end on the kernels it imports."""
+"""The walkthrough script runs end to end on the kernels it imports, and the
+kill table of scripts/mutants.py still anchors in the code."""
 
+import json
 import os
 import re
 import runpy
@@ -109,3 +111,15 @@ def test_stage_walkthrough_goes_on_past_a_stage_the_one_before_does_not_divide(m
     assert out.count("[MISMATCH") == 2
     assert out.count("[ok]") == len(stages) - 2
     assert_first_mismatch_is_the_check_witness(out)
+
+
+def test_every_mutant_row_anchors_once_in_its_file():
+    # scripts/mutants.py applies a row by replacing its old text, so a row whose
+    # text moved or repeats would mutate nothing, or the wrong place.
+    rows = json.loads((ROOT / "tests" / "golden" / "mutants.json").read_text())
+    assert rows
+    for row in rows:
+        assert (ROOT / row["file"]).read_text().count(row["old"]) == 1, row
+        assert row["new"] != row["old"] and row["tests"], row
+        for test in row["tests"]:
+            assert (ROOT / test.split("::")[0]).is_file(), test
